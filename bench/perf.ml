@@ -4,15 +4,6 @@
 open Bechamel
 open Toolkit
 
-let heap_churn () =
-  let h = Engine.Heap.create ~cmp:Int.compare () in
-  for i = 0 to 255 do
-    Engine.Heap.push h ((i * 2_654_435_761) land 0xFFFF)
-  done;
-  for _ = 0 to 255 do
-    ignore (Engine.Heap.pop h)
-  done
-
 let sim_event_churn () =
   let sim = Engine.Sim.create () in
   let count = ref 0 in
@@ -62,7 +53,6 @@ let small_transfer () =
 let tests =
   Test.make_grouped ~name:"substrate"
     [
-      Test.make ~name:"heap 256 push+pop" (Staged.stage heap_churn);
       Test.make ~name:"sim 1k chained events" (Staged.stage sim_event_churn);
       Test.make ~name:"queue 128 enq+deq" (Staged.stage queue_churn);
       Test.make ~name:"dctcp 100-segment transfer" (Staged.stage small_transfer);

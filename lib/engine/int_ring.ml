@@ -1,8 +1,8 @@
-(* Monomorphic int ring-buffer FIFO. The generic {!Ring} stores boxed
-   ['a] elements, so every [push] of a heap value pays the caml_modify
-   write barrier; with packets now immediate ints (pooled SoA handles,
-   see [Net.Packet]) the switch-queue and in-flight FIFOs can use plain
-   int stores instead. Empty slots hold [min_int] — a real value, not an
+(* Monomorphic int ring-buffer FIFO. A polymorphic ring storing boxed
+   ['a] elements pays the caml_modify write barrier on every [push] of
+   a heap value; with packets immediate ints (pooled SoA handles, see
+   [Net.Packet]) the switch-queue and in-flight FIFOs use plain int
+   stores instead. Empty slots hold [min_int] — a real value, not an
    [Obj.magic] placeholder, so there is nothing for the GC to misread. *)
 
 type t = {

@@ -1,7 +1,7 @@
 (** Growable ring-buffer FIFO specialised to [int].
 
-    Same discipline as the generic {!Ring}, minus the write barrier: int
-    elements are immediate, so [push] is a plain array store — the right
+    Int elements are immediate, so [push] is a plain array store with no
+    write barrier — the right
     container for pooled handles (packet ids, event ids) on hot paths.
     Empty slots hold [min_int], a real value rather than an [Obj.magic]
     placeholder, and popped slots need no clearing (an int pins

@@ -768,3 +768,9 @@ let entries =
 let all () = entries
 let names () = List.map (fun e -> e.name) entries
 let find name = List.find_opt (fun e -> String.equal e.name name) entries
+
+let find_spec name =
+  List.find_map
+    (fun e ->
+      List.find_opt (fun (s : Spec.t) -> String.equal s.name name) (e.specs ()))
+    entries

@@ -217,3 +217,7 @@ type entry = {
 val all : unit -> entry list
 val names : unit -> string list
 val find : string -> entry option
+
+val find_spec : string -> Spec.t option
+(** The spec of that name from any entry (spec names are unique across
+    the whole registry). *)

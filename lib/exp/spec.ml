@@ -637,6 +637,78 @@ let of_string s =
   let* j = Json.parse s in
   of_json j
 
+(* --- PATH=VALUE overrides on the JSON form --- *)
+
+let set_error fmt = Printf.ksprintf (fun m -> Error ("Spec.override: " ^ m)) fmt
+
+let json_kind = function
+  | Json.Null -> "null"
+  | Json.Bool _ -> "a bool"
+  | Json.Int _ -> "an int"
+  | Json.Float _ -> "a number"
+  | Json.String _ -> "a string"
+  | Json.List _ -> "a list"
+  | Json.Obj _ -> "an object"
+
+(* VALUE read against the JSON type of the field it replaces. A string
+   field takes the raw text (so seeds stay decimal strings); [null]
+   replaces anything and is left for [of_json] to accept or refuse. *)
+let coerce ~path ~current value =
+  let parsed = Json.parse value in
+  match (current, parsed) with
+  | _, Ok Json.Null -> Ok Json.Null
+  | Json.String _, Ok (Json.String s) -> Ok (Json.String s)
+  | Json.String _, _ -> Ok (Json.String value)
+  | Json.Float _, Ok (Json.Int i) -> Ok (Json.Float (float_of_int i))
+  | Json.Null, Ok v -> Ok v
+  | (Json.Int _, Ok (Json.Int _ as v))
+  | (Json.Float _, Ok (Json.Float _ as v))
+  | (Json.Bool _, Ok (Json.Bool _ as v))
+  | (Json.List _, Ok (Json.List _ as v))
+  | (Json.Obj _, Ok (Json.Obj _ as v)) ->
+      Ok v
+  | _ -> set_error "%s expects %s, got %S" path (json_kind current) value
+
+(* Replace the value at [keys] (a path of object members that must all
+   exist) by [leaf current]. *)
+let rec set_path ~path ~leaf j keys =
+  match (j, keys) with
+  | Json.Obj fields, key :: rest when List.mem_assoc key fields ->
+      let* v =
+        let v = List.assoc key fields in
+        match rest with [] -> leaf v | _ -> set_path ~path ~leaf v rest
+      in
+      Ok
+        (Json.Obj
+           (List.map
+              (fun (k, old) -> (k, if String.equal k key then v else old))
+              fields))
+  | _ -> set_error "unknown path %S" path
+
+let set_one j assignment =
+  match String.index_opt assignment '=' with
+  | None -> set_error "%S is not PATH=VALUE" assignment
+  | Some i ->
+      let path = String.sub assignment 0 i in
+      let value =
+        String.sub assignment (i + 1) (String.length assignment - i - 1)
+      in
+      let keys = String.split_on_char '.' path in
+      if List.exists (String.equal "") keys then
+        set_error "empty path component in %S" path
+      else
+        set_path ~path ~leaf:(fun current -> coerce ~path ~current value) j keys
+
+let override assignments t =
+  let* j =
+    List.fold_left
+      (fun j a ->
+        let* j = j in
+        set_one j a)
+      (Ok (to_json t)) assignments
+  in
+  of_json j
+
 (* Structural equality via the canonical JSON form: covers every field,
    and [Json.equal] compares floats by bit pattern, so specs containing
    identical configs are equal without tripping dtlint's R2/R3. *)

@@ -98,6 +98,17 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** [of_json] composed with {!Obs.Json.parse}. *)
 
+val override : string list -> t -> (t, string) result
+(** [override ["workload.n_flows=4"; ...] t] edits {!to_json}[ t] at
+    each dotted [PATH] in turn and decodes the result with {!of_json}.
+    Every path component must already exist. [VALUE] must have the JSON
+    type of the value it replaces, except that an int may replace a
+    number, a string field takes the raw text, and [null] may replace
+    anything (so [of_json] decides, e.g. [workload.trace_sampling=null]).
+    A missing ['='], an empty path component, an unknown path, a type
+    mismatch or a spec [of_json] refuses is an [Error]; it never
+    raises. *)
+
 val equal : t -> t -> bool
 (** Field-complete equality via the canonical JSON form (floats compare
     by bit pattern). *)

@@ -140,7 +140,16 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
   (* Measurement bookkeeping armed at the end of the warm-up. *)
   let alpha_stats = Stats.Descriptive.create () in
   let delivered_at_warm = Array.make nf 0 in
-  let trace = ref None in
+  (* Sampled queue series, (seconds, packets): one sample per sampler
+     tick, at the warm-up instant and then every period up to t_stop. *)
+  let n_samples =
+    match config.trace_sampling with
+    | Some period when Int64.compare period 0L > 0 ->
+        Int64.to_int (Int64.div config.measure period) + 1
+    | _ -> 0
+  in
+  let times = Array.make n_samples 0. and occ = Array.make n_samples 0. in
+  let taken = ref 0 in
   ignore
     (Sim.schedule_at sim t_warm (fun () ->
          Net.Queue_disc.reset_stats bqueue;
@@ -150,14 +159,16 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
            flows;
          (match config.trace_sampling with
          | Some period ->
-             trace :=
-               Some
-                 (Net.Trace.on_queue sim bqueue ~mode:(Net.Trace.Sampled period)
-                    ~stop_at:t_stop ())
+             ignore
+               (Obs.Sampler.start sim ~period ~stop_at:t_stop (fun now ->
+                    times.(!taken) <- Time.to_sec now;
+                    occ.(!taken) <-
+                      float_of_int (Net.Queue_disc.occupancy_packets bqueue);
+                    incr taken))
          | None -> ());
          ignore
            (Obs.Sampler.start sim ~period:config.alpha_sample_period
-              ~stop_at:t_stop ~immediate:true (fun _now ->
+              ~stop_at:t_stop (fun _now ->
                 Array.iter
                   (fun f ->
                     match Tcp.Flow.alpha f with
@@ -182,11 +193,8 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
   in
   let queue_series =
     Option.map
-      (fun tr ->
-        Array.map
-          (fun (t, v) -> (Time.to_sec t, v))
-          (Stats.Timeseries.samples (Net.Trace.series_packets tr)))
-      !trace
+      (fun _ -> Array.init !taken (fun i -> (times.(i), occ.(i))))
+      config.trace_sampling
   in
   let pkt = float_of_int config.segment_bytes in
   {

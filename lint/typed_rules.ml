@@ -369,7 +369,7 @@ let lint_units ?(rules = rules) ?(report_paths = [])
       | Some
           [
             "engine";
-            ("event_queue.ml" | "heap.ml" | "ring.ml" | "int_ring.ml");
+            ("event_queue.ml" | "int_ring.ml");
           ] ->
           true
       | Some [ "net"; ("packet.ml" | "ecmp.ml") ] -> true

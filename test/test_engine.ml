@@ -1,8 +1,9 @@
-(* Tests for the discrete-event engine: time, heap, rng, simulator,
-   the monomorphic event queue, ring buffers, and timers. *)
+(* Tests for the discrete-event engine: time, rng, simulator, the
+   monomorphic event queue, the int ring buffer and timers, plus the
+   reference [Heap] (a test-only module) the event queue is checked
+   against. *)
 
 module Time = Engine.Time
-module Heap = Engine.Heap
 module Rng = Engine.Rng
 module Sim = Engine.Sim
 module Timer = Engine.Timer
@@ -955,86 +956,84 @@ let test_heap_drain_releases_elements () =
     (Printf.sprintf "drained heap retains %d words" words)
     true (words < 4_096)
 
-(* --- Ring --- *)
+(* --- Int_ring --- *)
 
-module Ring = Engine.Ring
+module Int_ring = Engine.Int_ring
 
-let test_ring_fifo_basics () =
-  let r = Ring.create ~capacity:2 () in
-  checkb "fresh ring empty" true (Ring.is_empty r);
+let test_int_ring_fifo_basics () =
+  let r = Int_ring.create ~capacity:2 () in
+  checkb "fresh ring empty" true (Int_ring.is_empty r);
   for i = 1 to 5 do
-    Ring.push r i
+    Int_ring.push r i
   done;
-  checki "length" 5 (Ring.length r);
-  checkb "peek" true (Ring.peek_opt r = Some 1);
-  checki "pop front" 1 (Ring.pop r);
-  checki "then next" 2 (Ring.pop r);
-  checki "length after pops" 3 (Ring.length r)
+  checki "length" 5 (Int_ring.length r);
+  checki "peek" 1 (Int_ring.peek r);
+  checki "pop front" 1 (Int_ring.pop r);
+  checki "then next" 2 (Int_ring.pop r);
+  checki "length after pops" 3 (Int_ring.length r)
 
-let test_ring_pop_empty_raises () =
-  let r : int Ring.t = Ring.create () in
-  checkb "pop_opt on empty" true (Ring.pop_opt r = None);
+let test_int_ring_pop_empty_raises () =
+  let r = Int_ring.create () in
+  Alcotest.check_raises "peek on empty" Not_found (fun () ->
+      ignore (Int_ring.peek r));
   Alcotest.check_raises "pop on empty" Not_found (fun () ->
-      ignore (Ring.pop r))
+      ignore (Int_ring.pop r))
 
-let test_ring_wraparound_growth () =
+let test_int_ring_wraparound_growth () =
   (* Pop a few from the front, refill past the old back: the write
      index wraps before the buffer grows, so growth must linearise the
      wrapped contents. *)
-  let r = Ring.create ~capacity:4 () in
+  let r = Int_ring.create ~capacity:4 () in
   for i = 0 to 3 do
-    Ring.push r i
+    Int_ring.push r i
   done;
-  checki "pop 0" 0 (Ring.pop r);
-  checki "pop 1" 1 (Ring.pop r);
+  checki "pop 0" 0 (Int_ring.pop r);
+  checki "pop 1" 1 (Int_ring.pop r);
   for i = 4 to 9 do
-    Ring.push r i
+    Int_ring.push r i
   done;
   let seen = ref [] in
-  Ring.iter (fun x -> seen := x :: !seen) r;
+  Int_ring.iter (fun x -> seen := x :: !seen) r;
   Alcotest.(check (list int))
     "iter front-to-back across the wrap" [ 2; 3; 4; 5; 6; 7; 8; 9 ]
     (List.rev !seen);
   let out = ref [] in
-  while not (Ring.is_empty r) do
-    out := Ring.pop r :: !out
+  while not (Int_ring.is_empty r) do
+    out := Int_ring.pop r :: !out
   done;
   Alcotest.(check (list int))
     "drain order" [ 2; 3; 4; 5; 6; 7; 8; 9 ]
     (List.rev !out)
 
-let test_ring_clear () =
-  let r = Ring.create ~capacity:2 () in
+let test_int_ring_clear () =
+  let r = Int_ring.create ~capacity:2 () in
   for i = 0 to 9 do
-    Ring.push r i
+    Int_ring.push r i
   done;
-  Ring.clear r;
-  checkb "cleared" true (Ring.is_empty r);
-  Ring.push r 42;
-  checki "usable after clear" 42 (Ring.pop r)
+  Int_ring.clear r;
+  checkb "cleared" true (Int_ring.is_empty r);
+  Int_ring.push r 42;
+  checki "usable after clear" 42 (Int_ring.pop r)
 
-let prop_ring_matches_queue =
-  QCheck.Test.make ~count:300 ~name:"Ring behaves like Stdlib.Queue"
+let prop_int_ring_matches_queue =
+  QCheck.Test.make ~count:300 ~name:"Int_ring behaves like Stdlib.Queue"
     QCheck.(
       list_of_size Gen.(int_range 0 200) (pair bool (int_bound 1_000)))
     (fun ops ->
-      let r = Ring.create ~capacity:1 () in
+      let r = Int_ring.create ~capacity:1 () in
       let q = Queue.create () in
+      let take r = if Int_ring.is_empty r then None else Some (Int_ring.pop r) in
       List.for_all
         (fun (is_push, v) ->
           if is_push then begin
-            Ring.push r v;
+            Int_ring.push r v;
             Queue.add v q;
             true
           end
-          else
-            match (Ring.pop_opt r, Queue.take_opt q) with
-            | None, None -> true
-            | Some a, Some b -> a = b
-            | _ -> false)
+          else take r = Queue.take_opt q)
         ops
-      && Ring.length r = Queue.length q
-      && Ring.peek_opt r = Queue.peek_opt q)
+      && Int_ring.length r = Queue.length q
+      && (Int_ring.is_empty r || Some (Int_ring.peek r) = Queue.peek_opt q))
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -1124,14 +1123,14 @@ let suites =
         qtest prop_event_queue_matches_heap;
         qtest prop_event_queue_cancel_heavy;
       ] );
-    ( "engine.ring",
+    ( "engine.int_ring",
       [
-        Alcotest.test_case "FIFO basics" `Quick test_ring_fifo_basics;
-        Alcotest.test_case "pop on empty" `Quick test_ring_pop_empty_raises;
+        Alcotest.test_case "FIFO basics" `Quick test_int_ring_fifo_basics;
+        Alcotest.test_case "pop on empty" `Quick test_int_ring_pop_empty_raises;
         Alcotest.test_case "wraparound and growth" `Quick
-          test_ring_wraparound_growth;
-        Alcotest.test_case "clear" `Quick test_ring_clear;
-        qtest prop_ring_matches_queue;
+          test_int_ring_wraparound_growth;
+        Alcotest.test_case "clear" `Quick test_int_ring_clear;
+        qtest prop_int_ring_matches_queue;
       ] );
     ( "engine.timer",
       [

@@ -417,9 +417,165 @@ let test_registry_catalogue () =
           | Error err -> Alcotest.fail (s.Spec.name ^ ": " ^ err))
         specs)
     entries;
+  (* `dtsim run --name` looks a spec up across every entry, so names must
+     be unique registry-wide, not just within an entry. *)
+  let all_specs =
+    List.concat_map (fun (e : Registry.entry) -> e.specs ()) entries
+  in
+  let all_names = List.map (fun (s : Spec.t) -> s.Spec.name) all_specs in
+  Alcotest.(check int) "spec names unique across the registry"
+    (List.length all_names)
+    (List.length (List.sort_uniq String.compare all_names));
+  List.iter
+    (fun (s : Spec.t) ->
+      match Registry.find_spec s.Spec.name with
+      | Some found ->
+          if not (Spec.equal s found) then
+            Alcotest.fail ("find_spec returned another spec for " ^ s.Spec.name)
+      | None -> Alcotest.fail ("find_spec misses " ^ s.Spec.name))
+    all_specs;
+  Alcotest.(check bool) "find_spec misses an unknown name" true
+    (Registry.find_spec "fig_sweep/dt-dctcp/n=11" = None);
   match Registry.find "no-such-entry" with
   | None -> ()
   | Some _ -> Alcotest.fail "find invented an entry"
+
+(* --- PATH=VALUE overrides -------------------------------------------- *)
+
+(* Every leaf of a spec's JSON form as a (dotted path, VALUE text) pair
+   that restates its current value. *)
+let leaf_assignments spec =
+  let rec go prefix j acc =
+    match j with
+    | Json.Obj fields ->
+        List.fold_left
+          (fun acc (k, v) ->
+            go (if prefix = "" then k else prefix ^ "." ^ k) v acc)
+          acc fields
+    | Json.String s -> (prefix ^ "=" ^ s) :: acc
+    | v -> (prefix ^ "=" ^ Json.to_string v) :: acc
+  in
+  List.rev (go "" (Spec.to_json spec) [])
+
+let sweep_spec n =
+  match Registry.find_spec (Printf.sprintf "fig_sweep/dt-dctcp/n=%d" n) with
+  | Some s -> s
+  | None -> Alcotest.fail "fig_sweep spec missing"
+
+let test_override_identity () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      List.iter
+        (fun s ->
+          let sets = leaf_assignments s in
+          match Spec.override sets s with
+          | Ok s' ->
+              if not (Spec.equal s s') then
+                Alcotest.fail ("restating every field changed " ^ s.Spec.name)
+          | Error err -> Alcotest.fail (s.Spec.name ^ ": " ^ err))
+        (e.specs ()))
+    (Registry.all ());
+  match Spec.override [] (sweep_spec 10) with
+  | Ok s ->
+      Alcotest.(check bool) "no override is identity" true
+        (Spec.equal s (sweep_spec 10))
+  | Error e -> Alcotest.fail e
+
+let test_override_n_flows () =
+  match Spec.override [ "workload.n_flows=60" ] (sweep_spec 10) with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      let n60 = sweep_spec 60 in
+      Alcotest.(check bool) "n=10 with n_flows=60 is the n=60 spec" true
+        (Spec.equal (Spec.with_name n60.Spec.name s) n60);
+      Alcotest.(check string) "name kept" "fig_sweep/dt-dctcp/n=10" s.Spec.name
+
+let test_override_values () =
+  let base = sweep_spec 10 in
+  let ok sets =
+    match Spec.override sets base with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let s =
+    ok
+      [
+        "protocol.k1_bytes=45000"; "protocol.g=1"; "workload.seed=7"; "name=x";
+      ]
+  in
+  (match s.Spec.protocol with
+  | Spec.Dt_dctcp { k1_bytes; g; _ } ->
+      Alcotest.(check int) "k1" 45000 k1_bytes;
+      Alcotest.(check (float 0.)) "int accepted for a number" 1. g
+  | _ -> Alcotest.fail "protocol kind changed");
+  Alcotest.(check int64) "seed string takes raw text" 7L (Spec.seed s);
+  Alcotest.(check string) "top-level field" "x" s.Spec.name;
+  (match (ok [ "workload.trace_sampling=20000" ]).Spec.workload with
+  | Spec.Longlived c ->
+      Alcotest.(check (option int64)) "null field set" (Some 20000L)
+        c.Workloads.Longlived.trace_sampling
+  | _ -> Alcotest.fail "workload kind changed");
+  let rejected what sets =
+    match Spec.override sets base with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+  in
+  rejected "unknown leaf" [ "workload.nflows=4" ];
+  rejected "path through a leaf" [ "workload.n_flows.x=4" ];
+  rejected "unknown top-level key" [ "faults=4" ];
+  rejected "int field given text" [ "workload.n_flows=four" ];
+  rejected "int field given a float" [ "workload.n_flows=4.5" ];
+  rejected "number field given text" [ "protocol.g=fast" ];
+  rejected "object given a scalar" [ "protocol=3" ];
+  rejected "required field nulled" [ "workload.n_flows=null" ];
+  rejected "decoder refuses a kind" [ "protocol.kind=dctcp" ];
+  rejected "missing =" [ "workload.n_flows" ];
+  rejected "empty path" [ "=4" ];
+  rejected "empty component" [ "workload..n_flows=4" ];
+  rejected "one bad assignment among good ones" [ "name=y"; "workload.x=1" ]
+
+(* Parser fuzzing: arbitrary assignment strings, biased towards real
+   paths and JSON-ish values, yield [Ok] or [Error] and never raise. *)
+let prop_override_total =
+  let paths =
+    List.map
+      (fun a -> String.sub a 0 (String.index a '='))
+      (leaf_assignments (sweep_spec 10))
+  in
+  let text = Gen.string_size ~gen:Gen.printable (Gen.int_range 0 12) in
+  let path_gen =
+    Gen.oneof
+      [
+        Gen.oneofl ("" :: "workload" :: "protocol" :: paths);
+        text;
+        Gen.map2 (fun p t -> p ^ "." ^ t) (Gen.oneofl paths) text;
+      ]
+  in
+  let value_gen =
+    Gen.oneof
+      [
+        text;
+        Gen.map string_of_int Gen.int;
+        Gen.map (fun f -> Printf.sprintf "%h" f) Gen.float;
+        Gen.oneofl [ "null"; "true"; "[]"; "{}"; "\"s\""; "1e400"; "-0"; "{" ];
+      ]
+  in
+  let assignment =
+    Gen.oneof
+      [
+        Gen.map2 (fun p v -> p ^ "=" ^ v) path_gen value_gen;
+        text;
+      ]
+  in
+  QCheck.Test.make ~count:1000 ~name:"override never raises"
+    (QCheck.make
+       ~print:QCheck.Print.(list string)
+       (Gen.list_size (Gen.int_range 0 3) assignment))
+    (fun sets ->
+      match Spec.override sets (sweep_spec 10) with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 (* The buffer-manager refactor must not move any pre-existing baseline:
    every registry family except the new fig_buffer sweep stays on the
@@ -618,6 +774,13 @@ let suites =
         Alcotest.test_case "of_json is strict" `Quick test_of_json_strict;
         Alcotest.test_case "buffer key omitted when Static" `Quick
           test_buffer_json_default;
+        Alcotest.test_case "override: restating every field is identity"
+          `Quick test_override_identity;
+        Alcotest.test_case "override: n=10 with n_flows=60 is n=60" `Quick
+          test_override_n_flows;
+        Alcotest.test_case "override: values, types and errors" `Quick
+          test_override_values;
+        qtest prop_override_total;
       ] );
     ( "exp.registry",
       [

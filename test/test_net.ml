@@ -259,17 +259,6 @@ let test_queue_reset_stats () =
   checkf ~eps:1e-6 "mean after reset" 1500. (Q.mean_occupancy_bytes q);
   checki "counters reset" 0 (Q.enqueued q)
 
-let test_queue_observer () =
-  let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:2000) () in
-  let events = ref 0 in
-  Q.set_observer q (fun () -> incr events);
-  ignore (Q.enqueue q (mk_pkt ~sim ~size:1500 ()));
-  ignore (Q.enqueue q (mk_pkt ~sim ~size:1500 ()));
-  (* dropped, still observed *)
-  ignore (Q.dequeue q);
-  checki "three events" 3 !events
-
 let test_queue_validation () =
   let sim = Sim.create () in
   checkb "bad capacity raises" true
@@ -616,64 +605,37 @@ let test_parking_lot_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- Trace --- *)
-
-let test_trace_every_change () =
-  let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  let tr = Net.Trace.on_queue sim q ~mode:Net.Trace.Every_change () in
-  ignore
-    (Sim.schedule_at sim (Time.of_us 1.) (fun () ->
-         ignore (Q.enqueue q (mk_pkt ~sim ()))));
-  ignore
-    (Sim.schedule_at sim (Time.of_us 2.) (fun () -> ignore (Q.dequeue q)));
-  Sim.run sim;
-  (* initial sample + enqueue + dequeue *)
-  checki "three samples" 3
-    (Stats.Timeseries.length (Net.Trace.series_packets tr));
-  checkf "max occupancy seen" 1.
-    (Stats.Timeseries.max_value (Net.Trace.series_packets tr))
-
-let test_trace_sampled () =
-  let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  let tr =
-    Net.Trace.on_queue sim q
-      ~mode:(Net.Trace.Sampled (Time.span_of_us 10.))
-      ~stop_at:(Time.of_us 100.) ()
-  in
-  Sim.run ~until:(Time.of_ms 1.) sim;
-  (* initial sample plus 10 periodic ones *)
-  checki "eleven samples" 11
-    (Stats.Timeseries.length (Net.Trace.series_packets tr))
-
-let test_trace_sampled_requires_stop () =
-  let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  checkb "raises" true
-    (match
-       Net.Trace.on_queue sim q ~mode:(Net.Trace.Sampled 1000L) ()
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_trace_detach () =
-  let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  let tr = Net.Trace.on_queue sim q ~mode:Net.Trace.Every_change () in
-  Net.Trace.detach tr;
-  ignore (Q.enqueue q (mk_pkt ~sim ()));
-  checki "no further samples" 1
-    (Stats.Timeseries.length (Net.Trace.series_packets tr))
-
 (* --- cross-validation invariants --- *)
 
 (* The queue's built-in time-weighted statistics must agree with the
-   statistics computed from an exhaustive occupancy trace. *)
+   statistics of the exhaustive occupancy step function, rebuilt from the
+   enqueue/dequeue/drop trace records (each carries the occupancy after
+   the event). *)
 let test_queue_stats_match_trace () =
   let sim = Sim.create ~seed:77L () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:20_000) () in
-  let tr = Net.Trace.on_queue sim q ~mode:Net.Trace.Every_change () in
+  (* (duration s, occupancy bytes) segments, newest first. *)
+  let segments = ref [] in
+  let last_t = ref 0. and occ = ref 0. in
+  let step now v =
+    segments := (now -. !last_t, !occ) :: !segments;
+    last_t := now;
+    occ := v
+  in
+  let tracer =
+    Obs.Trace.create
+      ~classes:Obs.Trace.[ C_enqueue; C_dequeue; C_drop ]
+      (Obs.Trace.Fn
+         (fun r ->
+           match r.Obs.Trace.event with
+           | Obs.Trace.Enqueue { occ_bytes; _ }
+           | Obs.Trace.Dequeue { occ_bytes; _ }
+           | Obs.Trace.Drop { occ_bytes; _ } ->
+               step (Time.to_sec r.Obs.Trace.time) (float_of_int occ_bytes)
+           | _ -> ()))
+  in
+  let q =
+    Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:20_000) ~tracer ()
+  in
   let rng = Engine.Rng.create ~seed:3L in  (* dtlint: allow R10 *)
   for i = 1 to 400 do
     let at = Time.of_us (float_of_int i *. 7.) in
@@ -685,13 +647,14 @@ let test_queue_stats_match_trace () =
   done;
   let t_end = Time.of_us 3000. in
   Sim.run ~until:t_end sim;
-  let series = Net.Trace.series_bytes tr in
-  let trace_mean =
-    Stats.Timeseries.time_weighted_mean ~from:Time.zero ~until:t_end series
+  step (Time.to_sec t_end) !occ;
+  checkb "trace saw occupancy changes" true (List.length !segments > 100);
+  let weighted f =
+    List.fold_left (fun acc (dt, v) -> acc +. (dt *. f v)) 0. !segments
+    /. Time.to_sec t_end
   in
-  let trace_std =
-    Stats.Timeseries.time_weighted_stddev ~from:Time.zero ~until:t_end series
-  in
+  let trace_mean = weighted Fun.id in
+  let trace_std = sqrt (weighted (fun v -> (v -. trace_mean) ** 2.)) in
   checkf ~eps:1e-3 "means agree" trace_mean (Q.mean_occupancy_bytes q);
   checkf ~eps:1e-3 "stddevs agree" trace_std (Q.stddev_occupancy_bytes q)
 
@@ -1119,7 +1082,6 @@ let suites =
         Alcotest.test_case "time-weighted stats" `Quick
           test_queue_time_weighted_stats;
         Alcotest.test_case "reset stats" `Quick test_queue_reset_stats;
-        Alcotest.test_case "observer" `Quick test_queue_observer;
         Alcotest.test_case "validation" `Quick test_queue_validation;
       ] );
     ( "net.port",
@@ -1177,14 +1139,6 @@ let suites =
         Alcotest.test_case "fat tree wiring" `Quick test_fat_tree_wiring;
         Alcotest.test_case "fat tree all-pairs connectivity" `Quick
           test_fat_tree_all_pairs;
-      ] );
-    ( "net.trace",
-      [
-        Alcotest.test_case "every change" `Quick test_trace_every_change;
-        Alcotest.test_case "sampled" `Quick test_trace_sampled;
-        Alcotest.test_case "sampled requires stop_at" `Quick
-          test_trace_sampled_requires_stop;
-        Alcotest.test_case "detach" `Quick test_trace_detach;
       ] );
     ( "net.invariants",
       [

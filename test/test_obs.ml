@@ -218,47 +218,20 @@ let test_sampler () =
   let sim = Sim.create () in
   let ticks = ref [] in
   let s =
-    Obs.Sampler.start sim ~period:10L ~stop_at:(Time.of_ns 35L) ~immediate:true (fun now ->
+    Obs.Sampler.start sim ~period:10L ~stop_at:(Time.of_ns 35L) (fun now ->
         ticks := Time.to_ns now :: !ticks)
   in
   Sim.run sim;
   Alcotest.(check (list int64))
-    "immediate: t=0 then every period up to stop_at" [ 0L; 10L; 20L; 30L ]
+    "t=0 then every period up to stop_at" [ 0L; 10L; 20L; 30L ]
     (List.rev !ticks);
   Alcotest.(check bool) "still active when merely drained" true
     (Obs.Sampler.active s);
-  (* Deferred first tick: fires one period in even if that lands past
-     stop_at (Net.Trace's historic contract). *)
-  let sim = Sim.create () in
-  let ticks = ref [] in
-  ignore
-    (Obs.Sampler.start sim ~period:50L ~stop_at:(Time.of_ns 20L) (fun now ->
-         ticks := Time.to_ns now :: !ticks));
-  Sim.run sim;
-  Alcotest.(check (list int64)) "deferred first tick unconditional" [ 50L ] !ticks;
-  (* Opt-in clamp: the same start suppresses the overshooting first tick. *)
-  let sim = Sim.create () in
-  let ticks = ref [] in
-  ignore
-    (Obs.Sampler.start sim ~period:50L ~stop_at:(Time.of_ns 20L)
-       ~clamp_first:true (fun now -> ticks := Time.to_ns now :: !ticks));
-  Sim.run sim;
-  Alcotest.(check (list int64)) "clamped first tick suppressed" [] !ticks;
-  (* The clamp is inert when the first tick lands within the bound. *)
-  let sim = Sim.create () in
-  let ticks = ref [] in
-  ignore
-    (Obs.Sampler.start sim ~period:10L ~stop_at:(Time.of_ns 35L)
-       ~clamp_first:true (fun now -> ticks := Time.to_ns now :: !ticks));
-  Sim.run sim;
-  Alcotest.(check (list int64))
-    "clamp inert within stop_at" [ 10L; 20L; 30L ]
-    (List.rev !ticks);
   (* stop detaches mid-run. *)
   let sim = Sim.create () in
   let count = ref 0 in
   let s =
-    Obs.Sampler.start sim ~period:10L ~stop_at:(Time.of_ns 1000L) ~immediate:true (fun _ ->
+    Obs.Sampler.start sim ~period:10L ~stop_at:(Time.of_ns 1000L) (fun _ ->
         incr count)
   in
   ignore

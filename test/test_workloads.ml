@@ -428,90 +428,6 @@ let test_convergence_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- Instrument --- *)
-
-let test_instrument_samples_flow () =
-  let sim = Engine.Sim.create ~seed:3L () in
-  let d =
-    Net.Topology.dumbbell sim ~n_senders:1 ~bottleneck_rate_bps:1e9
-      ~rtt:(Time.span_of_us 100.) ~buffer_bytes:(100 * 1500)
-      ~marking:(Dctcp.Marking_policies.single_threshold ~k_bytes:(20 * 1500))
-      ()
-  in
-  let flow =
-    Tcp.Flow.create sim ~src:d.Net.Topology.senders.(0)
-      ~dst:d.Net.Topology.receiver ~flow:0 ~cc:(Dctcp.Dctcp_cc.cc ()) ()
-  in
-  Tcp.Flow.start flow;
-  let inst =
-    Workloads.Instrument.attach sim flow ~period:(Time.span_of_us 100.)
-      ~stop_at:(Time.of_ms 10.)
-  in
-  Engine.Sim.run ~until:(Time.of_ms 12.) sim;
-  let cwnd = Workloads.Instrument.cwnd_series inst in
-  checkb "many cwnd samples" true (Stats.Timeseries.length cwnd > 50);
-  checkb "cwnd grew" true (Stats.Timeseries.max_value cwnd > 2.);
-  checkb "alpha sampled" true
-    (Stats.Timeseries.length (Workloads.Instrument.alpha_series inst) > 50);
-  checkb "srtt eventually sampled" true
-    (Stats.Timeseries.length (Workloads.Instrument.srtt_series inst) > 10);
-  (* CSV export round-trips the sampled rows *)
-  let file = Filename.temp_file "inst" ".csv" in
-  let oc = open_out file in
-  Workloads.Instrument.to_csv inst oc;
-  close_out oc;
-  let ic = open_in file in
-  let lines = ref 0 in
-  (try
-     while true do
-       ignore (input_line ic);
-       incr lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove file;
-  checki "header plus one row per sample" (Stats.Timeseries.length cwnd + 1)
-    !lines
-
-let test_instrument_detach () =
-  let sim = Engine.Sim.create () in
-  let d =
-    Net.Topology.dumbbell sim ~n_senders:1 ~bottleneck_rate_bps:1e9
-      ~rtt:(Time.span_of_us 100.) ~buffer_bytes:(100 * 1500)
-      ~marking:(Net.Marking.none ()) ()
-  in
-  let flow =
-    Tcp.Flow.create sim ~src:d.Net.Topology.senders.(0)
-      ~dst:d.Net.Topology.receiver ~flow:0 ~cc:Tcp.Cc.reno ()
-  in
-  Tcp.Flow.start flow;
-  let inst =
-    Workloads.Instrument.attach sim flow ~period:(Time.span_of_us 100.)
-      ~stop_at:(Time.of_ms 10.)
-  in
-  Workloads.Instrument.detach inst;
-  Engine.Sim.run ~until:(Time.of_ms 2.) sim;
-  checki "only the immediate sample" 1
-    (Stats.Timeseries.length (Workloads.Instrument.cwnd_series inst))
-
-let test_instrument_validation () =
-  let sim = Engine.Sim.create () in
-  let d =
-    Net.Topology.dumbbell sim ~n_senders:1 ~bottleneck_rate_bps:1e9
-      ~rtt:(Time.span_of_us 100.) ~buffer_bytes:(100 * 1500)
-      ~marking:(Net.Marking.none ()) ()
-  in
-  let flow =
-    Tcp.Flow.create sim ~src:d.Net.Topology.senders.(0)
-      ~dst:d.Net.Topology.receiver ~flow:0 ~cc:Tcp.Cc.reno ()
-  in
-  checkb "bad period raises" true
-    (match
-       Workloads.Instrument.attach sim flow ~period:0L ~stop_at:(Time.of_ms 1.)
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* --- Fattree --- *)
 
 module Ft = Workloads.Fattree
@@ -626,12 +542,6 @@ let suites =
           test_fattree_completes;
         Alcotest.test_case "determinism" `Quick test_fattree_determinism;
         Alcotest.test_case "validation" `Quick test_fattree_validation;
-      ] );
-    ( "workloads.instrument",
-      [
-        Alcotest.test_case "samples a flow" `Quick test_instrument_samples_flow;
-        Alcotest.test_case "detach" `Quick test_instrument_detach;
-        Alcotest.test_case "validation" `Quick test_instrument_validation;
       ] );
     ( "workloads.convergence",
       [
