@@ -195,6 +195,11 @@ let run_cmd =
           tr)
         trace_oc
     in
+    if profile_out <> "" && not (Runner.takes_on_sim spec) then
+      fail
+        "--profile-out: %s runs a workload the engine profiler cannot attach \
+         to (it profiles longlived and fattree specs)"
+        spec.Spec.name;
     let profiler =
       if profile_out = "" then None else Some (Obs.Selfprof.create ())
     in
@@ -216,6 +221,9 @@ let run_cmd =
         Printf.printf "analysis            %s\n" file);
     Option.iter
       (fun p ->
+        if Obs.Selfprof.total p = 0 then
+          fail "--profile-out: the profiler saw no event; %s not written"
+            profile_out;
         write_json_file profile_out (Obs.Selfprof.to_json p);
         Printf.printf "engine profile      %s (%d events, %d timed)\n"
           profile_out (Obs.Selfprof.total p)
@@ -291,7 +299,8 @@ let run_cmd =
       & info [ "profile-out" ] ~docv:"FILE"
           ~doc:
             "Attach the sampled per-event-class engine self-profiler and \
-             write its JSON report to FILE.")
+             write its JSON report to FILE. Longlived and fattree specs \
+             only; other workloads are refused.")
   in
   let metrics_out =
     Arg.(

@@ -5,15 +5,16 @@
    pacing ticks, link serialization completions — which is exactly the
    workload wheels make near-O(1):
 
-   - schedule is a level computation (one xor, a short compare chain) and
-     a list append: no O(log n) sift;
-   - cancel unlinks the slot from its bucket's intrusive doubly-linked
-     list and recycles it immediately: no dead weight carried to the next
+   - schedule is a level computation (one xor, at most three compares)
+     and a list append: no O(log n) sift;
+   - cancel unlinks the slot from its bucket's intrusive circular list
+     and recycles it immediately: no dead weight carried to the next
      compaction sweep, no sweep at all for wheel-resident events;
-   - pop finds the next occupied 1 ns tick through per-level occupancy
-     bitmasks (find-first-set, not a scan) and cascades higher-level
-     buckets down only when the virtual clock actually crosses into
-     them — each event is touched at most [levels] times over its life;
+   - pop finds the next occupied 1 ns tick through a two-stage occupancy
+     bitmap (two find-first-sets, not a scan) and cascades a
+     higher-level bucket down only when the virtual clock actually
+     crosses into it — each event is touched at most [levels] times over
+     its life, and on the simulator's traffic about once;
    - event records come from a free-list pool, so steady schedule/fire
      and schedule/cancel churn allocates nothing;
    - ids handed to callers are immediate ints carrying a generation
@@ -23,11 +24,11 @@
    {b Pop order is bit-identical to the heap it replaced}: strict
    (key_ns, seq) — earlier instants first, schedule order within an
    instant. Within a 1 ns level-0 bucket every resident shares the same
-   key, so the bucket list is kept in ascending [seq] order (direct adds
-   append — seq is monotone — and cascaded arrivals insert from the
-   tail); popping the head is therefore the global minimum. The qcheck
+   key, and every bucket list keeps equal-key events in ascending [seq]
+   order with plain appends (see [bucket_insert]); popping the head is
+   therefore the global minimum. The qcheck
    suite proves the equivalence against both a naive model and the
-   retained generic {!Heap}.
+   test-only reference heap.
 
    Two small (key, seq) binary min-heaps back the wheel up at its edges:
 
@@ -45,31 +46,55 @@
    swept when the dead outnumber half the heap); wheel-resident events —
    the hot case — cancel in O(1). *)
 
-(* Wheel geometry: [levels] levels of [1 lsl slot_bits] buckets. Level 0
-   buckets are one tick (1 ns) wide; level l buckets span 2^(5l) ns. The
-   wheel as a whole covers keys sharing the current position's bits at or
-   above [horizon_bits]; everything further out is overflow. *)
-let slot_bits = 5
-let slots = 1 lsl slot_bits (* 32 *)
-let slot_mask = slots - 1
-let levels = 6
-let horizon_bits = slot_bits * levels (* 30 *)
+(* Wheel geometry: four levels whose bucket widths were fitted to the
+   simulator's measured traffic. On the paper's dumbbell at N = 60 the
+   mean gap between events is ~150 ns and nearly every event is
+   scheduled 32-64 ns (host turnarounds), ~1.2 us (serialization) or
+   16-33 us (propagation) ahead, plus RTO rearms 8-16 ms ahead that are
+   almost always cancelled:
 
-(* Location codes for [where]: a bucket index [level * slots + slot], or
-   one of these. *)
-let loc_none = -1
+   level | buckets | bucket width | level span
+   ------+---------+--------------+-----------
+     0   |   512   |    1 ns      |   512 ns   (a few mean gaps)
+     1   |   256   |   512 ns     |   131 us   (serialization, propagation)
+     2   |   128   |   131 us     |  16.8 ms   (RTO timers)
+     3   |    64   |  16.8 ms     |  2^30 ns ≈ 1.07 s
+
+   So most pops find the next event in level 0 without looking higher,
+   and a link event cascades once (level 1 -> 0). Level [l] holds the
+   keys that first differ from the position in bits
+   [level_shift.(l), level_shift.(l + 1)); keys not sharing the
+   position's bits at or above [horizon_bits] are overflow. 960 buckets
+   in all keep a simulator's fixed footprint at the old 6 x 32 wheel's:
+   a 1024-bucket level 0 ran the dumbbell no faster, within run-to-run
+   noise, and raised its peak heap by 3 %. *)
+let levels = 4
+let level0_bits = 9
+let level0_mask = (1 lsl level0_bits) - 1
+let level_shift = [| 0; level0_bits; 17; 24; 30 |]
+let horizon_bits = 30
+
+(* Bucket [b] of level [l] is [level_base.(l) + slot]; the bases are
+   multiples of 32 so every bitmap word below belongs to one level. *)
+let level_base = [| 0; 512; 768; 896; 960 |]
+let n_buckets = 960
+
+(* Occupancy is a two-stage bitmap over all buckets: [bits] holds one
+   32-bit word per 32 buckets (30 words), and a single [summary] int one
+   bit per non-empty word. Both fit in 32 bits, so the De Bruijn
+   find-first-set below applies to either. *)
+let word_bits = 5
+let word_mask = (1 lsl word_bits) - 1
+
+(* Location codes for [where]: a bucket index, or one of these. *)
 let loc_overdue = -2
 let loc_overflow = -3
 
 type event = {
   mutable key_ns : int;
-      (* Scheduled instant in integer nanoseconds; the primary sort key.
-         An [int] (not [int64]) so compares are single unboxed compares —
-         fine for any simulated instant below 2^62 ns. *)
+      (* Scheduled instant in integer nanoseconds; the primary sort key,
+         and the popped [Time.t] itself (instants are immediate ints). *)
   mutable seq : int;  (* FIFO tie-break: schedule order within an instant. *)
-  mutable time : Time.t;
-      (* The same instant, boxed once at schedule time, so firing can
-         advance the clock without re-boxing an int64. *)
   mutable action : unit -> unit;
   mutable cls : int;
       (* {!Event_class} index tag, carried for the self-profiler. An
@@ -78,7 +103,9 @@ type event = {
   mutable gen : int;  (* Bumped on every release; validates ids. *)
   mutable next_free : int;  (* Free-list link (pool index), -1 = end. *)
   mutable where : int;  (* Bucket index, or a [loc_*] code. *)
-  mutable next_ev : int;  (* Intrusive bucket-list links (pool indices). *)
+  mutable next_ev : int;
+      (* Intrusive circular bucket-list links (pool indices): the head's
+         [prev_ev] is the bucket's tail, so no tail array is needed. *)
   mutable prev_ev : int;
   idx : int;  (* This record's pool slot; never changes. *)
 }
@@ -124,17 +151,19 @@ type t = {
          popped out of the wheel, monotone. Bucket membership is always
          relative to [pos]. *)
   head : int array;  (* bucket -> first pool index, -1 = empty *)
-  tail : int array;  (* bucket -> last pool index, -1 = empty *)
-  masks : int array;  (* level -> occupancy bitmask over its 32 slots *)
+  bits : int array;  (* word -> occupancy of its 32 buckets *)
+  mutable summary : int;  (* one bit per non-empty [bits] word *)
   overdue : mini;
   overflow : mini;
-  mutable popped_time : Time.t;
-  mutable popped_action : unit -> unit;
-  mutable popped_cls : int;
+  mutable popped : int;
+      (* Pool slot of the last popped record. Release leaves its key,
+         class and action in place, so the popped_* readers need no
+         copy; the slot is reused by the next [add] at the earliest. *)
 }
 
-let create ?(capacity = 1024) () =
-  let capacity = Stdlib.max capacity 1 in
+(* Both backstop heaps start at 8 entries and double on demand: the
+   simulator leaves them nearly always empty. *)
+let create () =
   {
     pool = [||];
     pool_len = 0;
@@ -142,14 +171,12 @@ let create ?(capacity = 1024) () =
     next_seq = 0;
     live_count = 0;
     pos = 0;
-    head = Array.make (levels * slots) (-1);
-    tail = Array.make (levels * slots) (-1);
-    masks = Array.make levels 0;
+    head = Array.make n_buckets (-1);
+    bits = Array.make (n_buckets lsr word_bits) 0;
+    summary = 0;
     overdue = { arr = Array.make 8 (-1); n = 0; dead = 0 };
-    overflow = { arr = Array.make capacity (-1); n = 0; dead = 0 };
-    popped_time = Time.zero;
-    popped_action = noop;
-    popped_cls = 0;
+    overflow = { arr = Array.make 8 (-1); n = 0; dead = 0 };
+    popped = -1;
   }
 
 let live t = t.live_count
@@ -168,13 +195,12 @@ let new_event idx =
   {
     key_ns = 0;
     seq = 0;
-    time = Time.zero;
     action = noop;
     cls = 0;
     live = false;
     gen = 0;
     next_free = -1;
-    where = loc_none;
+    where = -1;
     next_ev = -1;
     prev_ev = -1;
     idx;
@@ -190,7 +216,6 @@ let alloc t =
   if t.free_head >= 0 then begin
     let ev = t.pool.(t.free_head) in
     t.free_head <- ev.next_free;
-    ev.next_free <- -1;
     ev
   end
   else begin
@@ -203,17 +228,13 @@ let alloc t =
 
 (* A record is released exactly once, when it leaves the structure
    (fired, cancelled out of the wheel, or swept out of a backstop heap).
-   The generation bump invalidates outstanding ids; dropping the
-   action/time references keeps the pool from pinning closures the
-   caller is done with. *)
+   The generation bump invalidates outstanding ids. The action is left
+   in place: the popped_* readers read it from the record, and the free
+   list is LIFO, so the next [add] overwrites it, and a free record pins
+   at most the one closure it last carried. *)
 let release t ev =
   ev.gen <- ev.gen + 1;
   ev.live <- false;
-  ev.action <- noop;
-  ev.time <- Time.zero;
-  ev.where <- loc_none;
-  ev.next_ev <- -1;
-  ev.prev_ev <- -1;
   ev.next_free <- t.free_head;
   t.free_head <- ev.idx
 
@@ -231,76 +252,107 @@ let ctz_table =
   done;
   tbl
 
-let ctz m = ctz_table.((((m land (-m)) * debruijn) land 0xFFFFFFFF) lsr 27)
+let[@inline] ctz m =
+  ctz_table.((((m land (-m)) * debruijn) land 0xFFFFFFFF) lsr 27)
 
-(* Smallest level whose bucket span covers [x] = key lxor pos. Written as
-   a compare chain: branch-predictable, no loop, no table. *)
-let level_of_xor x =
-  if x < 0x20 then 0
-  else if x < 0x400 then 1
-  else if x < 0x8000 then 2
-  else if x < 0x100000 then 3
-  else if x < 0x2000000 then 4
-  else 5
+(* Level of a key whose xor with the position is [x < 2^horizon_bits]:
+   the level covering x's highest set bit (bounds from [level_shift]). *)
+let[@inline] level_of_xor x =
+  if x < 1 lsl level0_bits then 0
+  else if x < 1 lsl 17 then 1
+  else if x < 1 lsl 24 then 2
+  else 3
+
+(* --- occupancy bitmap ----------------------------------------------- *)
+
+let[@inline] mark_occupied t b =
+  let w = b lsr word_bits in
+  let old = t.bits.(w) in
+  t.bits.(w) <- old lor (1 lsl (b land word_mask));
+  if old = 0 then t.summary <- t.summary lor (1 lsl w)
+
+let[@inline] mark_empty t b =
+  let w = b lsr word_bits in
+  let m = t.bits.(w) land lnot (1 lsl (b land word_mask)) in
+  t.bits.(w) <- m;
+  if m = 0 then t.summary <- t.summary land lnot (1 lsl w)
+
+(* First occupied slot at or after [from] on level [l], or -1; [from]
+   may be one past the level's last slot. The word holding [from] is
+   masked below it; past that word the summary names the next non-empty
+   word directly, and a word past the level's end means none. *)
+let next_occupied t l from =
+  let base = level_base.(l) in
+  let g = base + from in
+  let stop = level_base.(l + 1) in
+  if g >= stop then -1
+  else begin
+    let w = g lsr word_bits in
+    let m = t.bits.(w) land (-1 lsl (g land word_mask)) in
+    if m <> 0 then (w lsl word_bits) + ctz m - base
+    else begin
+      let s = t.summary land (-1 lsl (w + 1)) in
+      if s = 0 then -1
+      else begin
+        let w = ctz s in
+        let g = w lsl word_bits in
+        if g >= stop then -1 else g + ctz t.bits.(w) - base
+      end
+    end
+  end
 
 (* --- wheel buckets -------------------------------------------------- *)
 
-(* Append [ev] keeping the bucket's ascending-seq invariant. Direct adds
-   carry the highest seq ever issued, so the tail check succeeds
-   immediately; only cascaded arrivals (older events re-filed under a
-   new position) ever walk backwards, and only past same-instant
-   residents scheduled after them. *)
+(* Append [ev] at the bucket's tail. Pop order needs only this
+   invariant: within a bucket, events of equal key sit in ascending seq
+   order (a level-0 bucket holds one key, so its head is its minimum).
+   Appending keeps it. A direct add carries the highest seq yet issued.
+   A cascade re-files a bucket's list in order into buckets inside that
+   bucket's span, and those are empty: the position only enters a
+   span by cascading it. An overflow drain files heap-ordered events
+   into an empty wheel. *)
 let bucket_insert t ev b =
-  let pool = t.pool in
   ev.where <- b;
-  let tl = t.tail.(b) in
-  if tl < 0 then begin
-    ev.prev_ev <- -1;
-    ev.next_ev <- -1;
+  let h = t.head.(b) in
+  if h < 0 then begin
+    ev.prev_ev <- ev.idx;
+    ev.next_ev <- ev.idx;
     t.head.(b) <- ev.idx;
-    t.tail.(b) <- ev.idx;
-    t.masks.(b lsr slot_bits) <-
-      t.masks.(b lsr slot_bits) lor (1 lsl (b land slot_mask))
-  end
-  else if pool.(tl).seq < ev.seq then begin
-    ev.prev_ev <- tl;
-    ev.next_ev <- -1;
-    pool.(tl).next_ev <- ev.idx;
-    t.tail.(b) <- ev.idx
+    mark_occupied t b
   end
   else begin
-    (* Cascaded arrival older than some residents: walk back to its spot. *)
-    let p = ref pool.(tl).prev_ev in
-    while !p >= 0 && pool.(!p).seq > ev.seq do
-      p := pool.(!p).prev_ev
-    done;
-    let prev = !p in
-    let next = if prev < 0 then t.head.(b) else pool.(prev).next_ev in
-    ev.prev_ev <- prev;
-    ev.next_ev <- next;
-    pool.(next).prev_ev <- ev.idx;
-    if prev < 0 then t.head.(b) <- ev.idx else pool.(prev).next_ev <- ev.idx
+    let pool = t.pool in
+    let tl = pool.(h).prev_ev in
+    ev.prev_ev <- tl;
+    ev.next_ev <- h;
+    pool.(tl).next_ev <- ev.idx;
+    pool.(h).prev_ev <- ev.idx
   end
 
 let bucket_unlink t ev =
   let b = ev.where in
-  let pool = t.pool in
-  if ev.prev_ev >= 0 then pool.(ev.prev_ev).next_ev <- ev.next_ev
-  else t.head.(b) <- ev.next_ev;
-  if ev.next_ev >= 0 then pool.(ev.next_ev).prev_ev <- ev.prev_ev
-  else t.tail.(b) <- ev.prev_ev;
-  if t.head.(b) < 0 then
-    t.masks.(b lsr slot_bits) <-
-      t.masks.(b lsr slot_bits) land lnot (1 lsl (b land slot_mask))
+  let n = ev.next_ev in
+  if n = ev.idx then begin
+    t.head.(b) <- -1;
+    mark_empty t b
+  end
+  else begin
+    let pool = t.pool in
+    let p = ev.prev_ev in
+    pool.(p).next_ev <- n;
+    pool.(n).prev_ev <- p;
+    if t.head.(b) = ev.idx then t.head.(b) <- n
+  end
 
 (* File a live event whose key shares the current position's top block.
-   The level is the highest 5-bit block where key and pos differ; the
-   slot is the key's bits at that level. Keys at [pos] itself land in
-   level 0, slot [pos land 31]. *)
+   The level is the one holding the highest bit where key and pos
+   differ; the slot is the key's bits at that level. Keys at [pos]
+   itself land in level 0, slot [pos land level0_mask]. *)
 let wheel_insert t ev =
   let l = level_of_xor (ev.key_ns lxor t.pos) in
-  let s = (ev.key_ns lsr (l * slot_bits)) land slot_mask in
-  bucket_insert t ev ((l lsl slot_bits) lor s)
+  let lo = level_shift.(l) in
+  let s = (ev.key_ns lsr lo) land ((1 lsl (level_shift.(l + 1) - lo)) - 1) in
+  bucket_insert t ev (level_base.(l) + s)
 
 (* --- backstop heaps ------------------------------------------------- *)
 
@@ -430,7 +482,6 @@ let add_cls t ~time ~cls action =
   ev.key_ns <- Time.to_int_ns time;
   ev.seq <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  ev.time <- time;
   ev.action <- action;
   ev.cls <- cls;
   ev.live <- true;
@@ -469,62 +520,60 @@ let cancel t id =
 
 (* --- the wheel's virtual clock -------------------------------------- *)
 
-(* Pull the contents of bucket [b] (level >= 1) back through [file]: with
-   [pos] just advanced into the bucket's span, every resident re-files at
-   a strictly lower level. List order is preserved; same-instant events
-   restore seq order via [bucket_insert]'s tail walk. *)
+(* Pull the contents of bucket [b] (level >= 1) back through
+   [wheel_insert]: with [pos] just advanced into the bucket's span, every
+   resident re-files at a strictly lower level, in list order. Each
+   record's successor is read before it is re-linked. *)
 let cascade t b =
   let pool = t.pool in
-  let cur = ref t.head.(b) in
+  let h = t.head.(b) in
   t.head.(b) <- -1;
-  t.tail.(b) <- -1;
-  t.masks.(b lsr slot_bits) <-
-    t.masks.(b lsr slot_bits) land lnot (1 lsl (b land slot_mask));
-  while !cur >= 0 do
+  mark_empty t b;
+  let cur = ref h in
+  let continue = ref true in
+  while !continue do
     let ev = pool.(!cur) in
     cur := ev.next_ev;
-    wheel_insert t ev
+    wheel_insert t ev;
+    if !cur = h then continue := false
   done
 
 (* Pool index of the wheel's earliest event — the head of the first
    occupied level-0 bucket at or after [pos] — or -1 when the wheel is
    empty. Advances [pos] to the event's tick, cascading any higher-level
    bucket the position crosses into; skipped slots are provably empty, so
-   the advance never loses an event. Each iteration either returns or
-   strictly descends a level, bounding the loop at [levels] steps. *)
-let wheel_min t =
-  let result = ref (-2) in
-  while !result = -2 do
-    let m0 = t.masks.(0) land (-1 lsl (t.pos land slot_mask)) in
-    if m0 <> 0 then begin
-      let s = ctz m0 in
-      t.pos <- (t.pos land lnot slot_mask) lor s;
-      result := t.head.(s)
-    end
+   the advance never loses an event. Each cascade strictly descends a
+   level, bounding the recursion at [levels] steps. *)
+let rec wheel_min t =
+  let s = next_occupied t 0 (t.pos land level0_mask) in
+  if s >= 0 then begin
+    t.pos <- (t.pos land lnot level0_mask) lor s;
+    t.head.(s)
+  end
+  else begin
+    (* Level 0 exhausted: find the lowest level with a bucket strictly
+       ahead of the position's slot there. Within one parent block,
+       higher slot = later span, so searching from (slot + 1) is exact
+       — no wraparound case exists. *)
+    let l = ref 1 in
+    let found = ref (-1) in
+    while !found < 0 && !l < levels do
+      let lo = level_shift.(!l) and hi = level_shift.(!l + 1) in
+      let sl = (t.pos lsr lo) land ((1 lsl (hi - lo)) - 1) in
+      let s = next_occupied t !l (sl + 1) in
+      if s >= 0 then found := s else incr l
+    done;
+    if !found < 0 then -1
     else begin
-      (* Level 0 exhausted: find the lowest level with a bucket strictly
-         ahead of the position's slot there. Within one parent block,
-         higher slot = later span, so masking below (slot + 1) is exact —
-         no wraparound case exists. *)
-      let l = ref 1 in
-      let found = ref (-1) in
-      while !found < 0 && !l < levels do
-        let sl = (t.pos lsr (!l * slot_bits)) land slot_mask in
-        let m = t.masks.(!l) land (-1 lsl (sl + 1)) in
-        if m <> 0 then found := (!l lsl slot_bits) lor ctz m else incr l
-      done;
-      if !found < 0 then result := -1
-      else begin
-        let l = !found lsr slot_bits and s = !found land slot_mask in
-        (* Enter the bucket's span: keep the bits above it, set its slot,
-           zero everything below. *)
-        let above = slot_bits * (l + 1) in
-        t.pos <- ((t.pos lsr above) lsl above) lor (s lsl (slot_bits * l));
-        cascade t !found
-      end
+      let l = !l and s = !found in
+      (* Enter the bucket's span: keep the bits above its level, set
+         its slot, zero everything below. *)
+      let lo = level_shift.(l) and hi = level_shift.(l + 1) in
+      t.pos <- ((t.pos lsr hi) lsl hi) lor (s lsl lo);
+      cascade t (level_base.(l) + s);
+      wheel_min t
     end
-  done;
-  !result
+  end
 
 (* Jump the wheel to the earliest overflow block and file that whole
    block's events. Heap pops deliver them in (key, seq) order, so
@@ -546,66 +595,55 @@ let drain_overflow t root =
 
 (* --- pop ------------------------------------------------------------ *)
 
-(* The three sources, cheapest first. The wheel beats the overflow heap
-   by construction (overflow keys live beyond the wheel's whole span);
-   only the overdue heap can undercut a wheel event. *)
-
-let pop t =
+(* Pool index of the minimum live event, or -1 when none remains; dead
+   heap roots met on the way are recycled. The three sources, cheapest
+   first: the wheel beats the overflow heap by construction (overflow
+   keys live beyond the wheel's whole span); only the overdue heap can
+   undercut a wheel event. The overflow heap is drained into the wheel
+   only when its root is due by [limit]; otherwise the root itself is
+   returned, still parked. *)
+let select t limit =
   let w = wheel_min t in
-  let w =
-    if w >= 0 then w
+  let od = mini_min t t.overdue in
+  if w >= 0 then if od >= 0 && mini_less t.pool od w then od else w
+  else begin
+    let o = mini_min t t.overflow in
+    if o < 0 || (od >= 0 && mini_less t.pool od o) then od
+    else if t.pool.(o).key_ns > limit then o
     else begin
-      let o = mini_min t t.overflow in
-      if o < 0 then -1
-      else begin
-        let od = mini_min t t.overdue in
-        if od >= 0 && mini_less t.pool od o then -1
-        else begin
-          drain_overflow t o;
-          wheel_min t
-        end
-      end
+      drain_overflow t o;
+      wheel_min t
     end
-  in
-  let best =
-    let od = mini_min t t.overdue in
-    if od < 0 then w
-    else if w < 0 || mini_less t.pool od w then begin
-      mini_drop_root t.pool t.overdue;
-      od
-    end
-    else w
-  in
+  end
+
+(* One scan serves both the run-until deadline test and the pop: the
+   selected event is removed only when it is due by [limit_ns]. A due
+   event is never overflow-resident ([select] drained it), so it sits in
+   a wheel bucket or at the overdue root. *)
+let pop_until t ~limit_ns =
+  let best = select t limit_ns in
   if best < 0 then false
   else begin
     let ev = t.pool.(best) in
-    if ev.where >= 0 then bucket_unlink t ev;
-    t.live_count <- t.live_count - 1;
-    t.popped_time <- ev.time;
-    t.popped_action <- ev.action;
-    t.popped_cls <- ev.cls;
-    release t ev;
-    true
+    if ev.key_ns > limit_ns then false
+    else begin
+      if ev.where >= 0 then bucket_unlink t ev
+      else mini_drop_root t.pool t.overdue;
+      t.live_count <- t.live_count - 1;
+      t.popped <- best;
+      release t ev;
+      true
+    end
   end
 
-(* Key of the next event [pop] would fire, or [max_int] when no live
-   event remains. Dead heap roots met on the way are recycled — exactly
-   the entries the next [pop] would skip — so the result is the true
-   live minimum and the run-until loop never fires a live event past its
-   deadline because a corpse sat in front of it. *)
-let live_min_key_ns t =
-  let w = wheel_min t in
-  let k = if w >= 0 then t.pool.(w).key_ns else max_int in
-  let k =
-    if w >= 0 then k
-    else begin
-      let o = mini_min t t.overflow in
-      if o >= 0 then t.pool.(o).key_ns else max_int
-    end
-  in
-  let od = mini_min t t.overdue in
-  if od >= 0 && t.pool.(od).key_ns < k then t.pool.(od).key_ns else k
+let pop t = pop_until t ~limit_ns:max_int
 
-let popped_time t = t.popped_time
-let popped_action t = t.popped_action
-let popped_cls t = t.popped_cls
+(* A [limit] below every key never drains the overflow heap, so peeking
+   leaves it exactly as it was. *)
+let live_min_key_ns t =
+  let best = select t (-1) in
+  if best < 0 then max_int else t.pool.(best).key_ns
+
+let popped_time t = Time.of_int_ns t.pool.(t.popped).key_ns
+let popped_action t = t.pool.(t.popped).action
+let popped_cls t = t.pool.(t.popped).cls

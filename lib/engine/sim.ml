@@ -29,7 +29,7 @@ let no_event = Event_queue.none
 
 let create ?(seed = 1L) () =
   {
-    q = Event_queue.create ~capacity:1024 ();
+    q = Event_queue.create ();
     now = Time.zero;
     rng = Rng.create ~seed;
     processed = 0;
@@ -84,15 +84,16 @@ let schedule_after t span action = schedule_after_cls t span ~cls:0 action
 
 let cancel t id = ignore (Event_queue.cancel t.q id)
 
-let step t =
-  if Event_queue.pop t.q then begin
+(* Fires the earliest event if it is due by [limit_ns]: the queue's
+   single scan both finds it and checks the deadline. *)
+let step_until t limit_ns =
+  if Event_queue.pop_until t.q ~limit_ns then begin
     t.now <- Event_queue.popped_time t.q;
     t.processed <- t.processed + 1;
     let action = Event_queue.popped_action t.q in
     if t.profiling then begin
-      (* Read the class before running the action: the action may pop
-         nothing itself, but keeping the read first costs nothing and
-         makes the pairing obviously correct. *)
+      (* Read the class before running the action: the action's own
+         schedules may reuse the popped record. *)
       let cls = Event_queue.popped_cls t.q in
       t.prof_before cls;
       action ();
@@ -104,21 +105,18 @@ let step t =
   end
   else false
 
+let step t = step_until t max_int
+
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some stop ->
-      (* Keys are int nanoseconds, so the deadline comparison in the
-         loop is a single unboxed compare. [live_min_key_ns] recycles
-         not-yet-swept cancelled roots itself and returns [max_int]
-         when no live event remains, so the guard only passes when the
-         event [step] will actually fire is at or before [stop] — a
-         live event past the deadline never fires just because a dead
-         root sat in front of it. *)
+      (* Keys are int nanoseconds, so the deadline test inside the pop is
+         a single unboxed compare. Cancelled heap roots are recycled by
+         the same scan, so a live event past the deadline never fires
+         just because a dead root sat in front of it. *)
       let stop_ns = Time.to_int_ns stop in
-      while Event_queue.live_min_key_ns t.q <= stop_ns do
-        ignore (step t)
-      done;
+      while step_until t stop_ns do () done;
       if Time.(t.now < stop) then t.now <- stop
 
 let events_processed t = t.processed

@@ -63,6 +63,13 @@ let analysis_config (spec : Spec.t) =
   | Spec.Deadline _ | Spec.Fattree _ ->
       None
 
+let takes_on_sim (spec : Spec.t) =
+  match spec.workload with
+  | Spec.Longlived _ | Spec.Fattree _ -> true
+  | Spec.Incast _ | Spec.Completion _ | Spec.Dynamic _ | Spec.Convergence _
+  | Spec.Deadline _ ->
+      false
+
 let payload_of ?tracer ?on_sim ~metrics ?faults ~buffer proto
     (w : Spec.workload) =
   match w with
@@ -93,7 +100,7 @@ let payload_of ?tracer ?on_sim ~metrics ?faults ~buffer proto
            ~echo:proto.Dctcp.Protocol.echo ?faults ~buffer kind config)
   | Spec.Fattree cfg ->
       Outcome.Fattree
-        (Workloads.Fattree.run ~metrics ?faults ~buffer proto cfg)
+        (Workloads.Fattree.run ~metrics ?faults ~buffer ?on_sim proto cfg)
 
 let run_one ?tracer ?on_sim ?(analyze = false) (spec : Spec.t) =
   let metrics = Obs.Metrics.create () in

@@ -31,6 +31,12 @@ val analysis_config : Spec.t -> Obs.Analyze.config option
     longlived). [dtsim analyze] writes this same config into the trace
     header, which is what keeps online and offline analysis identical. *)
 
+val takes_on_sim : Spec.t -> bool
+(** Whether {!run_one} hands this spec's simulator to [on_sim]: true for
+    the longlived and fat-tree workloads, whose one simulator runs every
+    event the manifest counts; false for the rest, which build one
+    simulator per repeat and report no event count. *)
+
 val run_one :
   ?tracer:Obs.Trace.t ->
   ?on_sim:(Engine.Sim.t -> unit) ->
@@ -40,7 +46,8 @@ val run_one :
 (** Executes one spec with a fresh metrics registry. A raising workload
     yields [result = Failed _] rather than an exception; the manifest is
     still produced. [tracer] is forwarded to workloads that accept one
-    (currently longlived); [on_sim] likewise (the self-profiler's
+    (currently longlived); [on_sim] to those {!takes_on_sim} accepts,
+    and is never called for the others (it is the self-profiler's
     attachment point). [analyze] (default false) tees an {!Obs.Analyze}
     analyzer into the run's tracer and embeds its JSON block into the
     manifest; when false nothing is constructed and the manifest is

@@ -7,19 +7,13 @@
     forever. Ticks are scheduled with the {!Engine.Event_class.Sample}
     profiler tag. *)
 
-type t
-
 val start :
   Engine.Sim.t ->
   period:Engine.Time.span ->
   stop_at:Engine.Time.t ->
   (Engine.Time.t -> unit) ->
-  t
+  unit
 (** Start sampling: the first call to [f] happens synchronously at the
-    current simulation time.
+    current simulation time. There is no way to stop early: [stop_at]
+    is the loop's only end.
     @raise Invalid_argument if [period <= 0]. *)
-
-val stop : t -> unit
-(** Detach: pending ticks become no-ops. Idempotent. *)
-
-val active : t -> bool

@@ -45,7 +45,7 @@ let send_ack t ~ece =
   let pkt =
     Net.Packet.make t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
       ~size:t.ack_bytes ~ecn:Net.Packet.Not_ect
-      (Segment.ack ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t) ())
+      (Segment.ack ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t))
   in
   t.acks_sent <- t.acks_sent + 1;
   Net.Host.send t.host pkt

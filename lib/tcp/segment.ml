@@ -3,7 +3,7 @@ type Net.Packet.payload +=
   | Ack of { ack : int; ece : bool; sack : (int * int) list }
 
 let data ~seq = Data { seq }
-let ack ~ack ~ece ?(sack = []) () = Ack { ack; ece; sack }
+let ack ~ack ~ece ~sack = Ack { ack; ece; sack }
 
 let describe = function
   | Data { seq } -> Printf.sprintf "data seq=%d" seq

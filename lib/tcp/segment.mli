@@ -16,8 +16,9 @@ type Net.Packet.payload +=
 
 val data : seq:int -> Net.Packet.payload
 
-val ack :
-  ack:int -> ece:bool -> ?sack:(int * int) list -> unit -> Net.Packet.payload
+val ack : ack:int -> ece:bool -> sack:(int * int) list -> Net.Packet.payload
+(** [sack] is a required label: an optional one would box a [Some] on
+    every ACK. *)
 
 val describe : Net.Packet.payload -> string
 (** For logs and debugging; other payload kinds render as ["other"]. *)

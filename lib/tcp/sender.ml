@@ -77,7 +77,12 @@ let dummy_cc =
     alpha = (fun () -> None);
   }
 
-let clamp_cwnd t c = Float.min (Float.max c 1.) t.config.max_cwnd
+(* cwnd clamped to [1, max_cwnd]. Plain compares, not [Float.min]/
+   [Float.max]: those are out-of-line calls that box their float result
+   on every ACK. *)
+let clamp_cwnd config c =
+  let c = if c < 1. then 1. else c in
+  if c > config.max_cwnd then config.max_cwnd else c
 
 let emit t event =
   Obs.Trace.emit t.tracer
@@ -275,8 +280,6 @@ let handle_rto t =
     pump t
   end
 
-let clamp_cwnd_raw config c = Float.min (Float.max c 1.) config.max_cwnd
-
 let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
     ?(config = default_config) ?limit_segments ?(on_complete = fun () -> ())
     () =
@@ -296,7 +299,7 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       config;
       cc = dummy_cc;
       w =
-        [| clamp_cwnd_raw config config.initial_cwnd;
+        [| clamp_cwnd config config.initial_cwnd;
            config.initial_ssthresh |];
       snd_una = 0;
       snd_nxt = 0;
@@ -329,7 +332,7 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       flow;
       tracer;
       get_cwnd = (fun () -> t.w.(0));
-      set_cwnd = (fun c -> t.w.(0) <- clamp_cwnd t c);
+      set_cwnd = (fun c -> t.w.(0) <- clamp_cwnd t.config c);
       get_ssthresh = (fun () -> t.w.(1));
       set_ssthresh = (fun s -> t.w.(1) <- Float.max s 1.);
     }

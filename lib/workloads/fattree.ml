@@ -77,7 +77,7 @@ let total_no_route (ft : Net.Topology.fat_tree) =
   sum (sum (sum 0 ft.Net.Topology.edges) ft.Net.Topology.aggs)
     ft.Net.Topology.cores
 
-let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
+let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static) ?on_sim
     (proto : Dctcp.Protocol.t) config =
   (match faults with
   | None -> ()
@@ -88,6 +88,7 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
   if config.long_flows < 0 then
     invalid_arg "Fattree.run: negative long_flows";
   let sim = Sim.create ~seed:config.seed () in
+  (match on_sim with None -> () | Some f -> f sim);
   let ft =
     Net.Topology.fat_tree sim ~k:config.k ~rate_bps:config.rate_bps
       ~link_delay:config.link_delay ~queue_bytes:config.queue_bytes

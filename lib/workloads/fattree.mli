@@ -58,10 +58,14 @@ val run :
   ?metrics:Obs.Metrics.t ->
   ?faults:Fault.Plan.t ->
   ?buffer:Net.Buffer_mgr.config ->
+  ?on_sim:(Engine.Sim.t -> unit) ->
   Dctcp.Protocol.t ->
   config ->
   result
-(** [metrics] registers [engine.events_processed], the fabric-wide
+(** [on_sim] is called with the freshly created simulator before any
+    component is built, as in {!Longlived.run} — the hook the engine
+    self-profiler attaches through. It must not schedule events.
+    [metrics] registers [engine.events_processed], the fabric-wide
     [switch.no_route_drops] probe and [sender.timeouts]. [buffer]
     applies to all three switch tiers (each switch gets its own pool
     under [Dynamic_threshold]).

@@ -159,22 +159,20 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
            flows;
          (match config.trace_sampling with
          | Some period ->
-             ignore
-               (Obs.Sampler.start sim ~period ~stop_at:t_stop (fun now ->
-                    times.(!taken) <- Time.to_sec now;
-                    occ.(!taken) <-
-                      float_of_int (Net.Queue_disc.occupancy_packets bqueue);
-                    incr taken))
+             Obs.Sampler.start sim ~period ~stop_at:t_stop (fun now ->
+                 times.(!taken) <- Time.to_sec now;
+                 occ.(!taken) <-
+                   float_of_int (Net.Queue_disc.occupancy_packets bqueue);
+                 incr taken)
          | None -> ());
-         ignore
-           (Obs.Sampler.start sim ~period:config.alpha_sample_period
-              ~stop_at:t_stop (fun _now ->
-                Array.iter
-                  (fun f ->
-                    match Tcp.Flow.alpha f with
-                    | Some a -> Stats.Descriptive.add alpha_stats a
-                    | None -> ())
-                  flows))));
+         Obs.Sampler.start sim ~period:config.alpha_sample_period
+           ~stop_at:t_stop (fun _now ->
+             Array.iter
+               (fun f ->
+                 match Tcp.Flow.alpha f with
+                 | Some a -> Stats.Descriptive.add alpha_stats a
+                 | None -> ())
+               flows)));
   Sim.run ~until:t_stop sim;
   let measure_s = Time.span_to_sec config.measure in
   let throughput_bps =

@@ -486,7 +486,7 @@ module Eq = Engine.Event_queue
    The model keys events by schedule order, which is exactly the
    queue's [seq] tie-break, so the expected order is total. *)
 let run_event_queue_trace ops =
-  let q = Eq.create ~capacity:4 () in
+  let q = Eq.create () in
   let ids = ref [] (* (tag, id), newest first *) in
   let n_issued = ref 0 in
   let model = Hashtbl.create 64 (* tag -> key_ns, live events only *) in
@@ -573,20 +573,90 @@ let prop_event_queue_cancel_heavy =
       in
       run_event_queue_trace ops)
 
-(* Mixed-magnitude keys: [v lsl (5 s)] places events across every wheel
-   level and (for s = 6) beyond the 2^30 ns horizon, so the same model
-   equivalence also covers cascade boundaries, the overdue heap after
-   large pops, and overflow drains — the paths small-key traces miss. *)
+(* Keys just below, at and just above [m * 2^b] for every bit [b] up to
+   2^33: whatever widths the wheel's levels have, every level boundary
+   is a power of two below the 2^30 ns horizon, so these keys straddle
+   each of them, run past the horizon into the overflow heap, and — once
+   a large key has been popped — arrive past-dated into the overdue
+   heap. The trace is checked against the naive model as above. *)
+let boundary_key (m, b, d) = Stdlib.max 0 ((m lsl b) + d - 2)
+
 let prop_event_queue_large_keys =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:300
     ~name:"Event_queue matches the model across wheel levels and overflow"
     QCheck.(
       map
-        (List.map (fun (k, (s, v)) -> (k, (v lsl (5 * s)) + v)))
+        (List.map (fun (k, key) -> (k, boundary_key key)))
         (list_of_size
            Gen.(int_range 0 120)
-           (pair (int_bound 2) (pair (int_bound 6) (int_bound 2_000)))))
+           (pair (int_bound 2)
+              (triple (int_range 1 3) (int_bound 33) (int_bound 4)))))
     run_event_queue_trace
+
+(* The run-until loop pops with one scan that also tests the deadline.
+   Against the loop it replaced — peek at the live minimum, then pop
+   while it is due — on a second queue fed the same schedules and
+   cancels: the same events must fire, in the same order, at the same
+   instants, deadline after deadline. Delays reach past the horizon
+   (cancelled overflow roots), and deadlines land before, on and after
+   pending events (past-deadline events wait for a later run). *)
+let prop_run_until_matches_peek_then_pop =
+  QCheck.Test.make ~count:300
+    ~name:"Sim.run ~until fires what a peek-then-pop loop fires"
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 150)
+        (triple (int_bound 3) (int_bound 33) (int_bound 1_000)))
+    (fun ops ->
+      let sim = Sim.create () in
+      let q = Eq.create () in
+      let fired_sim = ref [] and fired_ref = ref [] in
+      let ids = ref [] in
+      let n = ref 0 in
+      let peek_then_pop limit =
+        while Eq.live_min_key_ns q <= limit do
+          ignore (Eq.pop q);
+          (Eq.popped_action q) ()
+        done
+      in
+      List.iter
+        (fun (kind, b, v) ->
+          let now = Time.to_int_ns (Sim.now sim) in
+          match kind with
+          | 0 | 1 ->
+              let at = Time.of_int_ns (now + boundary_key (1, b, v mod 5)) in
+              let tag = !n in
+              incr n;
+              let sid =
+                Sim.schedule_at sim at (fun () ->
+                    fired_sim := (tag, Sim.now sim) :: !fired_sim)
+              in
+              let qid =
+                Eq.add q ~time:at (fun () -> fired_ref := (tag, at) :: !fired_ref)
+              in
+              ids := (sid, qid) :: !ids
+          | 2 -> (
+              match !ids with
+              | [] -> ()
+              | l ->
+                  let sid, qid = List.nth l (v mod List.length l) in
+                  Sim.cancel sim sid;
+                  ignore (Eq.cancel q qid))
+          | _ ->
+              (* Deadlines drawn like the delays, so some fall exactly
+                 on a pending event's instant. *)
+              let until = now + boundary_key (1, b, v mod 5) in
+              Sim.run ~until:(Time.of_int_ns until) sim;
+              peek_then_pop until)
+        ops;
+      Sim.run sim;
+      while Eq.pop q do
+        (Eq.popped_action q) ()
+      done;
+      List.length !fired_sim = List.length !fired_ref
+      && List.for_all2
+           (fun (a, ta) (b, tb) -> a = b && Time.to_int_ns ta = Time.to_int_ns tb)
+           !fired_sim !fired_ref)
 
 (* Same game against the generic [Heap] the simulator used before: the
    reference orders (key, seq) pairs with a comparison closure and
@@ -600,7 +670,7 @@ let prop_event_queue_matches_heap =
         Gen.(int_range 0 150)
         (pair (int_bound 2) (int_bound 500)))
     (fun ops ->
-      let q = Eq.create ~capacity:4 () in
+      let q = Eq.create () in
       let cmp (k1, s1) (k2, s2) =
         if k1 <> k2 then Int.compare k1 k2 else Int.compare s1 s2
       in
@@ -654,7 +724,7 @@ let prop_event_queue_matches_heap =
       !ok && Eq.live q = 0 && heap_pop () = None)
 
 let test_event_queue_compaction_sweep () =
-  let q = Eq.create ~capacity:4 () in
+  let q = Eq.create () in
   let fired = ref [] in
   let ids =
     List.init 200 (fun i ->
@@ -711,7 +781,7 @@ let test_event_queue_wheel_cancel_reclaims () =
    they exceed half the heap (at >= 64 entries), then one O(n) sweep
    reclaims them all. *)
 let test_event_queue_overflow_lazy_sweep () =
-  let q = Eq.create ~capacity:4 () in
+  let q = Eq.create () in
   let far i = Time.of_ns (Int64.of_int ((2 lsl 30) + (i * 7))) in
   let fired = ref [] in
   let ids =
@@ -764,38 +834,42 @@ let test_event_queue_overdue_backstop () =
     (List.rev !fired);
   checki "overdue drained" 0 (Eq.overdue_len q)
 
-(* Keys straddling every wheel-level boundary (2^5 .. 2^25), the
-   overflow horizon (2^30), and a same-instant group parked five levels
-   up: everything must fire in (key, seq) order, which means the cascade
-   path re-files events correctly at each level crossing and restores
-   schedule order within an instant. *)
+(* Keys straddling every power of two up to 2^31 — so every wheel-level
+   boundary, whatever the level widths, and the 2^30 ns overflow horizon
+   — plus same-instant groups scheduled out of key order near the top
+   and the middle of the wheel: everything must fire in (key, seq)
+   order, which means the cascade path re-files events correctly at
+   each level crossing and restores schedule order within an instant. *)
 let test_event_queue_cascade_boundaries () =
   let q = Eq.create () in
   let fired = ref [] in
-  let add ns tag =
+  let expected = ref [] in
+  let n = ref 0 in
+  let add k =
+    let tag = !n in
+    incr n;
+    expected := (k, tag) :: !expected;
     ignore
-      (Eq.add q
-         ~time:(Time.of_ns (Int64.of_int ns))
-         (fun () -> fired := tag :: !fired))
+      (Eq.add q ~time:(Time.of_int_ns k) (fun () -> fired := tag :: !fired))
   in
-  let keys =
-    [
-      31; 32; 33; 1023; 1024; 32767; 32768;
-      (1 lsl 20) - 1; 1 lsl 20; (1 lsl 25) + 7;
-      (1 lsl 30) - 1; 1 lsl 30; (1 lsl 30) + 1;
-    ]
-  in
-  List.iteri (fun i k -> add k (100 + i)) keys;
-  add (1 lsl 25) 0;
-  add (1 lsl 25) 1;
-  add (1 lsl 25) 2;
-  checki "beyond-horizon keys overflowed" 2 (Eq.overflow_len q);
+  for b = 31 downto 1 do
+    List.iter add [ (1 lsl b) + 1; 1 lsl b; (1 lsl b) - 1 ]
+  done;
+  for _ = 1 to 3 do
+    add ((1 lsl 29) + 7);
+    add ((1 lsl 16) + 7)
+  done;
+  checki "beyond-horizon keys overflowed" 5 (Eq.overflow_len q);
   while Eq.pop q do
     (Eq.popped_action q) ()
   done;
   Alcotest.(check (list int))
     "(key, seq) order across every level boundary"
-    [ 100; 101; 102; 103; 104; 105; 106; 107; 108; 0; 1; 2; 109; 110; 111; 112 ]
+    (List.map snd
+       (List.sort
+          (fun (k1, t1) (k2, t2) ->
+            if k1 <> k2 then Int.compare k1 k2 else Int.compare t1 t2)
+          !expected))
     (List.rev !fired)
 
 (* The schedule/pop fast path — pre-boxed times, wheel-resident keys —
@@ -1120,6 +1194,7 @@ let suites =
           test_heap_drain_releases_elements;
         qtest prop_event_queue_matches_model;
         qtest prop_event_queue_large_keys;
+        qtest prop_run_until_matches_peek_then_pop;
         qtest prop_event_queue_matches_heap;
         qtest prop_event_queue_cancel_heavy;
       ] );

@@ -764,6 +764,42 @@ let test_manifest_no_analysis () =
   Alcotest.(check bool) "no analysis member in JSON" true
     (Json.member "analysis" (Obs.Manifest.to_json o.Runner.manifest) = None)
 
+(* The engine profiler rides the [on_sim] hook: attached, it must not
+   change a bit of the outcome, and it must see every event the manifest
+   counts — on the long-lived dumbbell and on the fat tree alike. The
+   other workloads do not take the hook and never call it. *)
+let test_profiler_sees_every_event () =
+  List.iter
+    (fun name ->
+      let spec =
+        match Registry.find_spec name with
+        | Some s -> s
+        | None -> Alcotest.fail ("no registry spec " ^ name)
+      in
+      Alcotest.(check bool) (name ^ " takes on_sim") true
+        (Runner.takes_on_sim spec);
+      let plain = Runner.run_one spec in
+      let prof = Obs.Selfprof.create () in
+      let profiled =
+        Runner.run_one ~on_sim:(fun sim -> Obs.Selfprof.attach prof sim) spec
+      in
+      Alcotest.(check bool) (name ^ ": outcome unchanged") true
+        (outcome_bitwise_eq plain profiled);
+      let events = plain.Runner.manifest.Obs.Manifest.events in
+      Alcotest.(check bool) (name ^ ": events counted") true (events > 0);
+      Alcotest.(check int) (name ^ ": profile total = manifest events")
+        events (Obs.Selfprof.total prof))
+    [ "ci_smoke/longlived/dt-dctcp"; "fig_fattree_smoke/dt-dctcp/k=4" ];
+  List.iter
+    (fun name ->
+      let spec = Option.get (Registry.find_spec name) in
+      Alcotest.(check bool) (name ^ " refuses on_sim") false
+        (Runner.takes_on_sim spec);
+      let called = ref false in
+      ignore (Runner.run_one ~on_sim:(fun _ -> called := true) spec);
+      Alcotest.(check bool) (name ^ ": hook never called") false !called)
+    [ "ci_smoke/incast/dt-dctcp"; "ci_smoke/completion/dctcp" ]
+
 let suites =
   [
     ( "exp.spec",
@@ -801,5 +837,7 @@ let suites =
           test_online_offline_analysis;
         Alcotest.test_case "analysis absent when disabled" `Quick
           test_manifest_no_analysis;
+        Alcotest.test_case "profiler sees every event, changes nothing"
+          `Quick test_profiler_sees_every_event;
       ] );
   ]

@@ -173,7 +173,7 @@ let test_segment_describe () =
   Alcotest.check Alcotest.string "data" "data seq=5"
     (Tcp.Segment.describe (Tcp.Segment.data ~seq:5));
   Alcotest.check Alcotest.string "ack" "ack=3 ece=true"
-    (Tcp.Segment.describe (Tcp.Segment.ack ~ack:3 ~ece:true ()));
+    (Tcp.Segment.describe (Tcp.Segment.ack ~ack:3 ~ece:true ~sack:[]));
   Alcotest.check Alcotest.string "other" "other"
     (Tcp.Segment.describe Net.Packet.No_payload)
 
