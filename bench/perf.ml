@@ -23,7 +23,7 @@ let queue_churn () =
     ignore
       (Net.Queue_disc.enqueue q
          (Net.Packet.make st ~src:0 ~dst:1 ~flow:0 ~size:1500
-            ~ecn:Net.Packet.Ect Net.Packet.No_payload))
+            ~ecn:Net.Packet.Ect ~hdr:0 Net.Packet.No_payload))
   done;
   let rec drain () =
     match Net.Queue_disc.dequeue q with
@@ -159,12 +159,18 @@ let tracing_overhead () =
     ()
 
 (* --- macro events/s: the repo's tracked engine-throughput baseline.
-   A DT-DCTCP dumbbell (the paper's operating point) at N ∈ {4, 32, 128}
-   long-lived flows, run untraced; the per-N events/s land in
-   BENCH_perf.json so every PR can be compared against the last recorded
-   baseline on the same machine. --- *)
+   A DT-DCTCP dumbbell (the paper's operating point) at N ∈ {4, 32, 128,
+   512} long-lived flows, run untraced; the per-N events/s and minor
+   words per event land in BENCH_perf.json so every PR can be compared
+   against the last recorded baseline. --- *)
 
 let macro_ns = [ 4; 32; 128; 512 ]
+
+(* Minor-heap words per event are counted over the simulated window
+   [50 ms, 100 ms]: inside both the quick and the full horizon, and the
+   same simulation in both, so the figure is exact for a fixed binary
+   and a quick run can be gated tightly against a full one. *)
+let alloc_window = (Engine.Time.of_ms 50., Engine.Time.of_ms 100.)
 
 let macro_scenario ?profiler ~n () =
   let sim = Engine.Sim.create ~seed:11L () in
@@ -206,7 +212,21 @@ let macro_scenario ?profiler ~n () =
   let until =
     Engine.Time.of_ns (Bench_common.scale_span (Engine.Time.span_of_ms 200.))
   in
-  Obs.Profile.run_sim ~until sim
+  let from, to_ = alloc_window in
+  let warm = Obs.Profile.run_sim ~until:from sim in
+  let w0 = Gc.minor_words () in
+  let window = Obs.Profile.run_sim ~until:to_ sim in
+  let words = Gc.minor_words () -. w0 in
+  let rest = Obs.Profile.run_sim ~until sim in
+  let runs = [ warm; window; rest ] in
+  let wall_s = List.fold_left (fun acc r -> acc +. r.Obs.Profile.wall_s) 0. runs in
+  let events = List.fold_left (fun acc r -> acc + r.Obs.Profile.events) 0 runs in
+  ( {
+      Obs.Profile.wall_s;
+      events;
+      events_per_s = (if wall_s > 0. then float_of_int events /. wall_s else 0.);
+    },
+    words /. float_of_int window.Obs.Profile.events )
 
 (* Per-event-class cost breakdown on the N=32 operating point: exact
    event counts plus sampled mean wall-clock per class, from the engine
@@ -214,7 +234,7 @@ let macro_scenario ?profiler ~n () =
    vs link transmit vs delivery) rather than just that one exists. *)
 let macro_class_breakdown () =
   let prof = Obs.Selfprof.create () in
-  let r = macro_scenario ~profiler:prof ~n:32 () in
+  let r, _ = macro_scenario ~profiler:prof ~n:32 () in
   let t =
     Stats.Table.create ~title:"per-event-class breakdown (N=32, 1/32 timed)"
       ~columns:
@@ -262,23 +282,25 @@ let macro_events_per_s () =
           Stats.Table.column "N";
           Stats.Table.column "events";
           Stats.Table.column "events/s";
+          Stats.Table.column "minor words/event";
         ]
   in
   List.iter
-    (fun (n, (r : Obs.Profile.run)) ->
+    (fun (n, ((r : Obs.Profile.run), words)) ->
       Stats.Table.add_row t
         [
           string_of_int n;
           string_of_int r.Obs.Profile.events;
           Printf.sprintf "%.0f" r.Obs.Profile.events_per_s;
+          Printf.sprintf "%.4f" words;
         ])
     runs;
   Stats.Table.print t;
   let wall_s =
-    List.fold_left (fun acc (_, r) -> acc +. r.Obs.Profile.wall_s) 0. runs
+    List.fold_left (fun acc (_, (r, _)) -> acc +. r.Obs.Profile.wall_s) 0. runs
   in
   let events =
-    List.fold_left (fun acc (_, r) -> acc + r.Obs.Profile.events) 0 runs
+    List.fold_left (fun acc (_, (r, _)) -> acc + r.Obs.Profile.events) 0 runs
   in
   Bench_common.write_manifest ~section:"perf" ~wall_s ~seed:11L ~events
     ~params:
@@ -289,11 +311,12 @@ let macro_events_per_s () =
       ]
     ~metrics:
       (List.concat_map
-         (fun (n, (r : Obs.Profile.run)) ->
+         (fun (n, ((r : Obs.Profile.run), words)) ->
            [
              (Printf.sprintf "events_per_s.n%d" n, r.Obs.Profile.events_per_s);
              ( Printf.sprintf "events.n%d" n,
                float_of_int r.Obs.Profile.events );
+             (Printf.sprintf "minor_words_per_event.n%d" n, words);
            ])
          runs)
     ()

@@ -29,7 +29,7 @@ val cc : ?params:params -> unit -> Tcp.Cc.factory
     D2TCP and similar schemes keep DCTCP's alpha machinery but gate the
     backoff through a penalty function [p] of alpha and flow state:
     [cwnd <- cwnd * (1 - p/2)]. The hook receives a snapshot at the moment
-    an ECE-triggered reduction is due. *)
+    an ECE-triggered reduction is due; plain DCTCP ({!cc}) builds none. *)
 
 type reduction_context = {
   alpha : float;  (** Current congestion estimate. *)
@@ -45,5 +45,6 @@ val cc_with_penalty :
   ?params:params -> penalty:(reduction_context -> float) -> unit ->
   Tcp.Cc.factory
 (** Like {!cc} but backs off by [penalty ctx] instead of [ctx.alpha]; the
-    returned penalty is clamped to [0, 1]. [cc] is
-    [cc_with_penalty ~penalty:(fun ctx -> ctx.alpha)]. *)
+    returned penalty is clamped to [0, 1]. [cc] behaves as
+    [cc_with_penalty ~penalty:(fun ctx -> ctx.alpha)], without building
+    the context. *)

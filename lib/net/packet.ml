@@ -8,7 +8,9 @@ type payload += No_payload
    struct-of-arrays store. The network hot loop (enqueue, dequeue, mark,
    forward) reads size/flow/ECN straight out of flat int arrays instead
    of chasing a boxed record per packet, and passing packets between
-   components costs no write barrier (see [Engine.Int_ring]). *)
+   components costs no write barrier (see [Engine.Int_ring]). The
+   transport's fixed header rides in the int [hdr] column too, so a
+   packet without a variable-length payload allocates nothing. *)
 type t = int
 
 let none = -1
@@ -27,8 +29,10 @@ type store = {
   mutable dst : int array;  (* destination host id *)
   mutable ecn : int array;  (* codepoint, [ecn_*] above *)
   mutable enq_ns : int array;  (* ns instant of last queue admission *)
+  mutable hdr : int array;  (* transport header word *)
   mutable uid : int array;  (* per-sim debug id; -1 marks a free slot *)
-  mutable payload : payload array;  (* opaque transport payload *)
+  mutable payload : payload array;
+      (* variable-length transport data; [No_payload] in every free slot *)
   (* Free-list stack of recycled handles. *)
   mutable free_stack : int array;
   mutable free_top : int;
@@ -48,6 +52,7 @@ let create_store sim =
     dst = Array.make cap 0;
     ecn = Array.make cap 0;
     enq_ns = Array.make cap 0;
+    hdr = Array.make cap 0;
     uid = Array.make cap (-1);
     payload = Array.make cap No_payload;
     free_stack = Array.make cap 0;
@@ -85,11 +90,12 @@ let grow st =
   st.dst <- extend st.dst 0;
   st.ecn <- extend st.ecn 0;
   st.enq_ns <- extend st.enq_ns 0;
+  st.hdr <- extend st.hdr 0;
   st.uid <- extend st.uid (-1);
   st.payload <- extend st.payload No_payload;
   st.free_stack <- extend st.free_stack 0
 
-let make st ~src ~dst ~flow ~size ~ecn payload =
+let make st ~src ~dst ~flow ~size ~ecn ~hdr payload =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   let p =
     if st.free_top > 0 then begin
@@ -109,12 +115,15 @@ let make st ~src ~dst ~flow ~size ~ecn payload =
   st.ecn.(p) <-
     (match ecn with Not_ect -> ecn_not_ect | Ect -> ecn_ect | Ce -> ecn_ce);
   st.enq_ns.(p) <- 0;
+  st.hdr.(p) <- hdr;
   (* Ids come from the owning simulation's counter (Sim.fresh_id), not a
      process-global Atomic: per-run sequences are deterministic
      regardless of what other simulations the process hosts, and
      concurrent runs (Exp.Runner -j) don't bounce a shared cache line. *)
   st.uid.(p) <- Engine.Sim.fresh_id st.sim;
-  st.payload.(p) <- payload;
+  (* Free slots already hold [No_payload]: only a real payload pays the
+     boxed store and its write barrier. *)
+  if payload != No_payload then st.payload.(p) <- payload;
   st.live <- st.live + 1;
   p
 
@@ -125,7 +134,8 @@ let make st ~src ~dst ~flow ~size ~ecn payload =
 let free st p =
   if st.uid.(p) < 0 then invalid_arg "Packet.free: handle already freed";
   st.uid.(p) <- -1;
-  st.payload.(p) <- No_payload (* don't pin a dead transport payload *);
+  (* Don't pin a dead transport payload. *)
+  if st.payload.(p) != No_payload then st.payload.(p) <- No_payload;
   st.free_stack.(st.free_top) <- p;
   st.free_top <- st.free_top + 1;
   st.live <- st.live - 1
@@ -135,6 +145,7 @@ let src st p = st.src.(p)
 let dst st p = st.dst.(p)
 let flow st p = st.flow.(p)
 let size st p = st.size.(p)
+let hdr st p = st.hdr.(p)
 let payload st p = st.payload.(p)
 
 let ecn st p =

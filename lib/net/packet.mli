@@ -1,15 +1,18 @@
 (** Network packets, stored struct-of-arrays.
 
     A packet is an immediate handle (an int) into its simulation's
-    packet {!store}: size, addressing, ECN codepoint, and the enqueue
-    timestamp live in parallel int arrays indexed by the handle, and the
-    opaque transport payload (extensible variant, so the transport layer
-    can define its own segments without a dependency cycle) in a
-    parallel boxed array. The network hot loop — enqueue, dequeue, mark,
-    forward — therefore walks flat arrays instead of dereferencing a
-    boxed record per packet, handing a packet between components never
-    pays a write barrier, and a steady flow of traffic allocates no
-    packets at all: handles are pooled through a free-list stack.
+    packet {!store}: size, addressing, ECN codepoint, the enqueue
+    timestamp and one transport header word live in parallel int arrays
+    indexed by the handle. Variable-length transport data (an extensible
+    variant, so the transport layer can define its own without a
+    dependency cycle) goes in a parallel boxed array, which a packet
+    without such data never touches. The network hot loop — enqueue,
+    dequeue, mark, forward — therefore walks flat arrays instead of
+    dereferencing a boxed record per packet, handing a packet between
+    components never pays a write barrier, and a steady flow of traffic
+    allocates nothing at all: handles are pooled through a free-list
+    stack, and a transport that fits its header in the int word (TCP's
+    sequence, ACK and ECE do, see [Tcp.Segment]) needs no payload.
 
     {b Ownership is linear.} [make] transfers the handle to the caller;
     whoever consumes the packet — the terminal flow handler, a dropping
@@ -27,7 +30,8 @@ type ecn =
   | Ce  (** Congestion experienced (set by a switch). *)
 
 type payload = ..
-(** Transport payloads; extended by [lib/tcp]. *)
+(** Variable-length transport data (TCP's SACK blocks); extended by
+    [lib/tcp]. *)
 
 type payload += No_payload
 
@@ -57,10 +61,13 @@ val make :
   flow:int ->
   size:int ->
   ecn:ecn ->
+  hdr:int ->
   payload ->
   t
 (** Allocates a packet from the pool (recycling a freed slot when one
-    exists). Ids are drawn from the owning simulation
+    exists). [hdr] is the transport's header word, opaque to the
+    network; pass [No_payload] unless the packet carries variable-length
+    data — only a real payload costs a boxed store. Ids are drawn from the owning simulation
     ({!Engine.Sim.fresh_id}): 1, 2, 3, ... per run, independent of any
     other simulation in the process.
     @raise Invalid_argument if [size <= 0]. *)
@@ -81,6 +88,9 @@ val flow : store -> t -> int
 
 val size : store -> t -> int
 (** Bytes on the wire. *)
+
+val hdr : store -> t -> int
+(** The header word given to [make]. *)
 
 val payload : store -> t -> payload
 val ecn : store -> t -> ecn

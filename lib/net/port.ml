@@ -34,23 +34,28 @@ type t = {
   mutable tx_pkt : Packet.t;  (* currently serializing; [Packet.none] if idle *)
   mutable tx_done : unit -> unit;  (* fires when [tx_pkt] finishes *)
   mutable deliver_head : unit -> unit;  (* delivers front of [in_flight] *)
-  (* Memo of the last serialization time by packet size: traffic on a port
-     is dominated by one or two packet sizes, so this skips the float
-     division (and the boxed span it allocates) almost every time. *)
+  (* Memo of the last serialization time by packet size: a host NIC
+     sends one packet size, so this skips the float division almost
+     every time there. A miss costs the division but no allocation. *)
   mutable memo_size : int;
-  mutable memo_tx : Time.span;
+  mutable memo_tx_ns : int;
 }
 
-let tx_time t ~bytes =
-  Time.span_of_sec (float_of_int (bytes * 8) /. t.rate_bps)
+(* Serialization time in int nanoseconds, rounded as
+   [Time.span_of_sec] rounds, without building a boxed span. *)
+let serialization_ns t ~bytes =
+  let s = float_of_int (bytes * 8) /. t.rate_bps in
+  int_of_float (Float.round (s *. 1e9))
 
-let tx_span t ~bytes =
-  if bytes = t.memo_size then t.memo_tx
+let tx_time t ~bytes = Int64.of_int (serialization_ns t ~bytes)
+
+let tx_ns t ~bytes =
+  if bytes = t.memo_size then t.memo_tx_ns
   else begin
-    let span = tx_time t ~bytes in
+    let ns = serialization_ns t ~bytes in
     t.memo_size <- bytes;
-    t.memo_tx <- span;
-    span
+    t.memo_tx_ns <- ns;
+    ns
   end
 
 let start_tx t =
@@ -59,10 +64,12 @@ let start_tx t =
     let pkt = Queue_disc.dequeue_exn t.queue in
     t.busy <- true;
     t.tx_pkt <- pkt;
+    let done_ns =
+      Time.to_int_ns (Sim.now t.sim) + tx_ns t ~bytes:(Packet.size t.st pkt)
+    in
     ignore
-      (Sim.schedule_after_cls t.sim
-         (tx_span t ~bytes:(Packet.size t.st pkt))
-         ~cls:cls_link_tx t.tx_done)
+      (Sim.schedule_at_cls t.sim (Time.of_int_ns done_ns) ~cls:cls_link_tx
+         t.tx_done)
   end
 
 let create sim ~rate_bps ~delay ~queue ~deliver =
@@ -87,7 +94,7 @@ let create sim ~rate_bps ~delay ~queue ~deliver =
       tx_done = ignore;
       deliver_head = ignore;
       memo_size = -1;
-      memo_tx = 0L;
+      memo_tx_ns = 0;
     }
   in
   t.deliver_head <-

@@ -2,10 +2,7 @@ type flow_api = {
   now : unit -> Engine.Time.t;
   flow : int;
   tracer : Obs.Trace.t;
-  get_cwnd : unit -> float;
-  set_cwnd : float -> unit;
-  get_ssthresh : unit -> float;
-  set_ssthresh : float -> unit;
+  w : float array;
 }
 
 type t = {
@@ -18,33 +15,41 @@ type t = {
 
 type factory = flow_api -> t
 
-(* Shared Reno-style window growth. *)
+(* Window arithmetic reads and writes the sender's float array in place:
+   no float crosses a call boundary, so none is boxed in either build
+   profile. Plain compares, not [Float.max]: that is an out-of-line call
+   that boxes its result. *)
+
 let grow api newly_acked =
   if newly_acked > 0 then begin
-    let cwnd = api.get_cwnd () in
-    if cwnd < api.get_ssthresh () then
-      api.set_cwnd (cwnd +. float_of_int newly_acked)
-    else api.set_cwnd (cwnd +. (float_of_int newly_acked /. cwnd))
+    let w = api.w in
+    let cwnd = w.(0) in
+    if cwnd < w.(1) then w.(0) <- cwnd +. float_of_int newly_acked
+    else w.(0) <- cwnd +. (float_of_int newly_acked /. cwnd)
   end
 
-let halve_on_loss api =
-  let cwnd = api.get_cwnd () in
-  let target = Stdlib.max (cwnd /. 2.) 1. in
-  api.set_ssthresh target;
-  api.set_cwnd target
+let half_window w =
+  let h = w.(0) /. 2. in
+  if h < 1. then 1. else h
 
-let collapse_on_timeout api =
-  let cwnd = api.get_cwnd () in
-  api.set_ssthresh (Stdlib.max (cwnd /. 2.) 1.);
-  api.set_cwnd 1.
+let halve api =
+  let w = api.w in
+  let target = half_window w in
+  w.(1) <- target;
+  w.(0) <- target
+
+let collapse api =
+  let w = api.w in
+  w.(1) <- half_window w;
+  w.(0) <- 1.
 
 let reno api =
   {
     name = "reno";
     on_ack =
       (fun ~newly_acked ~ece:_ ~snd_una:_ ~snd_nxt:_ -> grow api newly_acked);
-    on_fast_retransmit = (fun () -> halve_on_loss api);
-    on_timeout = (fun () -> collapse_on_timeout api);
+    on_fast_retransmit = (fun () -> halve api);
+    on_timeout = (fun () -> collapse api);
     alpha = (fun () -> None);
   }
 
@@ -60,13 +65,13 @@ let ecn_reno api =
         if ece then begin
           (* No growth on congestion-echo ACKs. *)
           if snd_una > !cwr_end then begin
-            halve_on_loss api;
+            halve api;
             cwr_end := snd_nxt
           end
         end
         else grow api newly_acked);
-    on_fast_retransmit = (fun () -> halve_on_loss api);
-    on_timeout = (fun () -> collapse_on_timeout api);
+    on_fast_retransmit = (fun () -> halve api);
+    on_timeout = (fun () -> collapse api);
     alpha = (fun () -> None);
   }
 
@@ -75,11 +80,12 @@ let ai_md ~increase ~decrease api =
   if decrease <= 0. || decrease >= 1. then
     invalid_arg "Cc.ai_md: decrease must be in (0,1)";
   let cwr_end = ref 0 in
+  let w = api.w in
   let reduce () =
-    let cwnd = api.get_cwnd () in
-    let target = Stdlib.max (cwnd *. (1. -. decrease)) 1. in
-    api.set_ssthresh target;
-    api.set_cwnd target
+    let target = w.(0) *. (1. -. decrease) in
+    let target = if target < 1. then 1. else target in
+    w.(1) <- target;
+    w.(0) <- target
   in
   {
     name = Printf.sprintf "aimd(%.2f,%.2f)" increase decrease;
@@ -90,14 +96,12 @@ let ai_md ~increase ~decrease api =
           cwr_end := snd_nxt
         end
         else if newly_acked > 0 then begin
-          let cwnd = api.get_cwnd () in
-          if cwnd < api.get_ssthresh () then
-            api.set_cwnd (cwnd +. float_of_int newly_acked)
+          let cwnd = w.(0) in
+          if cwnd < w.(1) then w.(0) <- cwnd +. float_of_int newly_acked
           else
-            api.set_cwnd
-              (cwnd +. (increase *. float_of_int newly_acked /. cwnd))
+            w.(0) <- cwnd +. (increase *. float_of_int newly_acked /. cwnd)
         end);
     on_fast_retransmit = reduce;
-    on_timeout = (fun () -> collapse_on_timeout api);
+    on_timeout = (fun () -> collapse api);
     alpha = (fun () -> None);
   }

@@ -1,14 +1,24 @@
 (** Pluggable congestion control.
 
     A congestion-control algorithm is a per-flow stateful value built from a
-    {!factory}. The sender gives the factory a {!flow_api} through which the
-    algorithm reads and writes [cwnd]/[ssthresh] (the sender clamps [cwnd]
-    to at least one segment), then notifies it of protocol events:
+    {!factory}. The sender gives the factory a {!flow_api} holding its
+    window cells, then notifies the algorithm of protocol events:
 
     - {!t.on_ack} for {e every} ACK (new or duplicate) with the echoed ECE
       bit — DCTCP's alpha estimator needs the per-ACK stream;
     - {!t.on_fast_retransmit} when a triple-dupack retransmission fires;
     - {!t.on_timeout} when the RTO fires.
+
+    {b The window contract.} [cwnd] and [ssthresh] (in segments) live in
+    the sender's flat float array {!flow_api.w}: [w.(0)] is [cwnd],
+    [w.(1)] is [ssthresh]. An algorithm reads and writes them there and
+    nowhere else — a float array slot is stored unboxed, where a float
+    passed through a closure or kept in a mutable field of a mixed record
+    would box on every ACK. Writes are raw: when the callback returns, the
+    sender clamps [cwnd] into [[1, max_cwnd]] and [ssthresh] to at least
+    1, so between callbacks both hold clamped values, while inside one an
+    algorithm that reads back a cell it wrote sees its own unclamped
+    value. {!grow}, {!halve} and {!collapse} are the shared Reno steps.
 
     Baselines [reno] and [ecn_reno] live here; the DCTCP algorithm is in
     [lib/dctcp] (the layer under study). *)
@@ -19,10 +29,9 @@ type flow_api = {
   tracer : Obs.Trace.t;
       (** The sender's tracer ({!Obs.Trace.null} when untraced), so
           algorithms can emit events such as [Cwnd_cut]. *)
-  get_cwnd : unit -> float;  (** In segments. *)
-  set_cwnd : float -> unit;  (** Clamped to >= 1 segment by the sender. *)
-  get_ssthresh : unit -> float;
-  set_ssthresh : float -> unit;
+  w : float array;
+      (** The sender's window cells, [[| cwnd; ssthresh |]]; see the
+          window contract above. *)
 }
 
 type t = {
@@ -39,6 +48,21 @@ type t = {
 }
 
 type factory = flow_api -> t
+
+(** {2 Shared Reno steps} *)
+
+val grow : flow_api -> int -> unit
+(** [grow api newly_acked]: slow start ([cwnd += newly_acked]) below
+    [ssthresh], congestion avoidance ([cwnd += newly_acked / cwnd]) at or
+    above it; no-op when [newly_acked = 0]. *)
+
+val halve : flow_api -> unit
+(** Multiplicative decrease: [ssthresh] and [cwnd] to [max (cwnd/2) 1]. *)
+
+val collapse : flow_api -> unit
+(** Timeout: [ssthresh] to [max (cwnd/2) 1], [cwnd] to 1. *)
+
+(** {2 Algorithms} *)
 
 val reno : factory
 (** NewReno-style growth: slow start below [ssthresh], +1/cwnd per ACK

@@ -21,6 +21,17 @@ type t = {
   mutable pending : int;
 }
 
+(* Maximal runs [(first, last_exclusive)] of ascending [seqs], reversed
+   onto [acc]; [cur] is the run being extended. *)
+let rec runs acc cur = function
+  | [] -> List.rev (Option.to_list cur @ acc)
+  | seq :: rest -> (
+      match cur with
+      | Some (first, next) when seq = next ->
+          runs acc (Some (first, seq + 1)) rest
+      | Some block -> runs (block :: acc) (Some (seq, seq + 1)) rest
+      | None -> runs acc (Some (seq, seq + 1)) rest)
+
 (* Up to three maximal runs of buffered out-of-order segments, ascending. *)
 let sack_blocks t =
   if (not t.sack) || Hashtbl.length t.ooo = 0 then []
@@ -29,23 +40,13 @@ let sack_blocks t =
       Hashtbl.fold (fun seq () acc -> seq :: acc) t.ooo []
       |> List.sort Int.compare
     in
-    let rec runs acc cur = function
-      | [] -> List.rev (Option.to_list cur @ acc)
-      | seq :: rest -> (
-          match cur with
-          | Some (first, next) when seq = next -> runs acc (Some (first, seq + 1)) rest
-          | Some block -> runs (block :: acc) (Some (seq, seq + 1)) rest
-          | None -> runs acc (Some (seq, seq + 1)) rest)
-    in
-    let blocks = runs [] None seqs in
-    List.filteri (fun i _ -> i < 3) blocks
+    List.filteri (fun i _ -> i < 3) (runs [] None seqs)
   end
 
 let send_ack t ~ece =
   let pkt =
-    Net.Packet.make t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
-      ~size:t.ack_bytes ~ecn:Net.Packet.Not_ect
-      (Segment.ack ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t))
+    Segment.make_ack t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
+      ~size:t.ack_bytes ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t)
   in
   t.acks_sent <- t.acks_sent + 1;
   Net.Host.send t.host pkt
@@ -63,7 +64,7 @@ let handle_data t ~seq ~ce =
   let stale = seq < t.rcv_nxt || (seq > t.rcv_nxt && Hashtbl.mem t.ooo seq) in
   if in_order then begin
     t.rcv_nxt <- t.rcv_nxt + 1;
-    while Hashtbl.mem t.ooo t.rcv_nxt do
+    while Hashtbl.length t.ooo > 0 && Hashtbl.mem t.ooo t.rcv_nxt do
       Hashtbl.remove t.ooo t.rcv_nxt;
       t.rcv_nxt <- t.rcv_nxt + 1
     done
@@ -114,7 +115,9 @@ let create sim ~host ~flow ~peer ?(echo = Per_packet) ?(sack = false)
       sack;
       ack_bytes;
       rcv_nxt = 0;
-      ooo = Hashtbl.create 64;
+      (* Only reordering or loss fills it: start at the minimum size
+         ([sack_blocks] sorts, so its order never shows). *)
+      ooo = Hashtbl.create 1;
       received = 0;
       ce_segments = 0;
       acks_sent = 0;
@@ -123,13 +126,13 @@ let create sim ~host ~flow ~peer ?(echo = Per_packet) ?(sack = false)
     }
   in
   Net.Host.bind_flow host ~flow (fun pkt ->
-      let payload = Net.Packet.payload t.st pkt in
-      let ce = Net.Packet.is_ce t.st pkt in
       (* Terminal consumer: extract fields, recycle, then process. *)
-      Net.Packet.free t.st pkt;
-      match payload with
-      | Segment.Data { seq } -> handle_data t ~seq ~ce
-      | _ -> ());
+      let st = t.st in
+      let is_data = not (Segment.is_ack st pkt) in
+      let seq = Segment.seq st pkt in
+      let ce = Net.Packet.is_ce st pkt in
+      Net.Packet.free st pkt;
+      if is_data then handle_data t ~seq ~ce);
   t
 
 let segments_delivered t = t.rcv_nxt

@@ -14,12 +14,13 @@ val create :
   unit ->
   t
 
-val sample : t -> Engine.Time.span -> unit
-(** Feed a new RTT measurement (only for segments that were not
-    retransmitted — Karn's rule is the caller's duty). *)
+val sample : t -> int -> unit
+(** Feed a new RTT measurement, in integer nanoseconds (only for segments
+    that were not retransmitted — Karn's rule is the caller's duty).
+    Immediate, so a sample per timed segment builds no boxed span. *)
 
-val rto : t -> Engine.Time.span
-(** Current timeout value. *)
+val rto_ns : t -> int
+(** Current timeout value, in integer nanoseconds. *)
 
 val backoff : t -> unit
 (** Doubles the RTO (exponential backoff on retransmission timeout),

@@ -40,7 +40,8 @@ type t = {
   tracer : Obs.Trace.t;
   config : config;
   mutable cc : Cc.t;
-  (* cwnd (slot 0) and ssthresh (slot 1) live in a flat float array: as
+  (* cwnd (slot 0) and ssthresh (slot 1) live in a flat float array,
+     shared with the congestion-control algorithm ({!Cc.flow_api.w}): as
      mutable float fields of this mixed record every window update would
      box, and the ACK path updates cwnd constantly. *)
   w : float array;
@@ -77,12 +78,18 @@ let dummy_cc =
     alpha = (fun () -> None);
   }
 
-(* cwnd clamped to [1, max_cwnd]. Plain compares, not [Float.min]/
-   [Float.max]: those are out-of-line calls that box their float result
-   on every ACK. *)
-let clamp_cwnd config c =
+(* The window contract ({!Cc}): an algorithm writes raw values into [w];
+   they are clamped here, once its callback returns — cwnd into
+   [1, max_cwnd], ssthresh to at least 1. Plain compares in place, not
+   [Float.min]/[Float.max]: those are out-of-line calls that box their
+   float result on every ACK. *)
+let clamp_cells config w =
+  let c = w.(0) in
   let c = if c < 1. then 1. else c in
-  if c > config.max_cwnd then config.max_cwnd else c
+  w.(0) <- (if c > config.max_cwnd then config.max_cwnd else c);
+  if w.(1) < 1. then w.(1) <- 1.
+
+let clamp_window t = clamp_cells t.config t.w
 
 let emit t event =
   Obs.Trace.emit t.tracer
@@ -103,15 +110,19 @@ let rto_timer t =
   | Some timer -> timer
   | None -> invalid_arg "Sender: timer not initialised"
 
-let arm_rto t = Timer.set (rto_timer t) ~after:(Rtt_estimator.rto t.rtt)
+let arm_rto t =
+  Timer.set_at (rto_timer t)
+    ~at:
+      (Time.of_int_ns
+         (Time.to_int_ns (Sim.now t.sim) + Rtt_estimator.rto_ns t.rtt))
 
 let send_segment t ~seq ~retransmission =
   let ecn =
     if t.config.ecn_capable then Net.Packet.Ect else Net.Packet.Not_ect
   in
   let pkt =
-    Net.Packet.make t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
-      ~size:t.config.segment_bytes ~ecn (Segment.data ~seq)
+    Segment.make_data t.st ~src:(Net.Host.id t.host) ~dst:t.peer
+      ~flow:t.flow ~size:t.config.segment_bytes ~ecn ~seq
   in
   if retransmission then begin
     t.retransmissions <- t.retransmissions + 1;
@@ -151,51 +162,56 @@ let check_complete t =
       true
   | Some _ | None -> false
 
-let record_sack t blocks =
-  if t.config.sack then
-    List.iter
-      (fun (first, last) ->
-        for seq = first to last - 1 do
-          if seq >= t.snd_una then Hashtbl.replace t.scoreboard seq ()
-        done)
-      blocks
+let rec record_blocks t = function
+  | [] -> ()
+  | (first, last) :: rest ->
+      for seq = first to last - 1 do
+        if seq >= t.snd_una then Hashtbl.replace t.scoreboard seq ()
+      done;
+      record_blocks t rest
+
+let record_sack t blocks = if t.config.sack then record_blocks t blocks
+
+let rec remove_all tbl = function
+  | [] -> ()
+  | seq :: rest ->
+      Hashtbl.remove tbl seq;
+      remove_all tbl rest
 
 let prune_scoreboard t =
   (* Runs on every new ACK; without SACK the scoreboard is always empty,
      so check before doing any work (a [Hashtbl.copy] here measurably
-     dominated non-SACK ACK processing). *)
+     dominated non-SACK ACK processing). Past the check, only SACK
+     recovery pays the fold's closure. *)
   if Hashtbl.length t.scoreboard > 0 then begin
-    let stale =
-      Hashtbl.fold
-        (fun seq () acc -> if seq < t.snd_una then seq :: acc else acc)
-        t.scoreboard []
+    let una = t.snd_una in
+    let older seq () acc = (* dtlint: allow R14 *)
+      if seq < una then seq :: acc else acc
     in
-    List.iter (Hashtbl.remove t.scoreboard) stale
+    remove_all t.scoreboard (Hashtbl.fold older t.scoreboard [])
   end
 
-(* Lowest hole in [snd_una, recover) that is neither SACKed nor already
-   retransmitted in this recovery episode. *)
-let next_hole t =
-  let rec scan seq =
-    if seq >= t.recover then None
-    else if Hashtbl.mem t.scoreboard seq || Hashtbl.mem t.rtx_done seq then
-      scan (seq + 1)
-    else Some seq
-  in
-  scan t.snd_una
+(* Lowest hole in [seq, recover) that is neither SACKed nor already
+   retransmitted in this recovery episode; -1 if none. *)
+let rec next_hole t seq =
+  if seq >= t.recover then -1
+  else if Hashtbl.mem t.scoreboard seq || Hashtbl.mem t.rtx_done seq then
+    next_hole t (seq + 1)
+  else seq
 
 let retransmit_hole t =
-  match next_hole t with
-  | Some seq ->
-      Hashtbl.replace t.rtx_done seq ();
-      send_segment t ~seq ~retransmission:true
-  | None -> ()
+  let seq = next_hole t t.snd_una in
+  if seq >= 0 then begin
+    Hashtbl.replace t.rtx_done seq ();
+    send_segment t ~seq ~retransmission:true
+  end
 
 let handle_new_ack t ~ack ~ece =
   let newly = ack - t.snd_una in
   t.snd_una <- ack;
   if t.sample_seq >= 0 && ack > t.sample_seq then begin
-    Rtt_estimator.sample t.rtt (Time.diff (Sim.now t.sim) t.sample_sent);
+    Rtt_estimator.sample t.rtt
+      (Time.to_int_ns (Sim.now t.sim) - Time.to_int_ns t.sample_sent);
     t.sample_seq <- -1
   end;
   t.dupacks <- 0;
@@ -211,6 +227,7 @@ let handle_new_ack t ~ack ~ece =
   end;
   t.cc.Cc.on_ack ~newly_acked:newly ~ece ~snd_una:t.snd_una
     ~snd_nxt:t.snd_nxt;
+  clamp_window t;
   if not (check_complete t) then begin
     if outstanding t > 0 then arm_rto t else Timer.cancel (rto_timer t);
     pump t;
@@ -220,6 +237,7 @@ let handle_new_ack t ~ack ~ece =
 
 let handle_dup_ack t ~ece =
   t.cc.Cc.on_ack ~newly_acked:0 ~ece ~snd_una:t.snd_una ~snd_nxt:t.snd_nxt;
+  clamp_window t;
   t.dupacks <- t.dupacks + 1;
   if t.dupacks = t.config.dupack_threshold && not t.in_recovery then begin
     t.in_recovery <- true;
@@ -228,6 +246,7 @@ let handle_dup_ack t ~ece =
     if Obs.Trace.enabled t.tracer Obs.Trace.C_fast_retransmit then
       emit t (Obs.Trace.Fast_retransmit { flow = t.flow; snd_una = t.snd_una });
     t.cc.Cc.on_fast_retransmit ();
+    clamp_window t;
     t.sample_seq <- -1;
     if t.config.sack then begin
       (* Selective repair: retransmit only the holes the scoreboard shows. *)
@@ -267,6 +286,7 @@ let handle_rto t =
            { flow = t.flow; snd_una = t.snd_una; timeouts = t.timeouts });
     Rtt_estimator.backoff t.rtt;
     t.cc.Cc.on_timeout ();
+    clamp_window t;
     t.in_recovery <- false;
     t.dupacks <- 0;
     t.sample_seq <- -1;
@@ -299,8 +319,9 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       config;
       cc = dummy_cc;
       w =
-        [| clamp_cwnd config config.initial_cwnd;
-           config.initial_ssthresh |];
+        (let w = [| config.initial_cwnd; config.initial_ssthresh |] in
+         clamp_cells config w;
+         w);
       snd_una = 0;
       snd_nxt = 0;
       limit = limit_segments;
@@ -313,8 +334,10 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       rto_timer = None;
       sample_seq = -1;
       sample_sent = Time.zero;
-      scoreboard = Hashtbl.create 64;
-      rtx_done = Hashtbl.create 64;
+      (* Only SACK and loss recovery fill these, so they start at the
+         minimum size (every use is order-insensitive). *)
+      scoreboard = Hashtbl.create 1;
+      rtx_done = Hashtbl.create 1;
       retransmissions = 0;
       timeouts = 0;
       fast_retransmits = 0;
@@ -326,26 +349,17 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
     }
   in
   t.rto_timer <- Some (Timer.create sim ~action:(fun () -> handle_rto t));
-  let api =
-    {
-      Cc.now = (fun () -> Sim.now sim);
-      flow;
-      tracer;
-      get_cwnd = (fun () -> t.w.(0));
-      set_cwnd = (fun c -> t.w.(0) <- clamp_cwnd t.config c);
-      get_ssthresh = (fun () -> t.w.(1));
-      set_ssthresh = (fun s -> t.w.(1) <- Float.max s 1.);
-    }
-  in
-  t.cc <- cc api;
+  t.cc <- cc { Cc.now = (fun () -> Sim.now sim); flow; tracer; w = t.w };
   Net.Host.bind_flow host ~flow (fun pkt ->
-      let payload = Net.Packet.payload t.st pkt in
       (* The sender is this flow's terminal consumer of ACKs: extract
          the fields, recycle the handle, then run the ACK machinery. *)
-      Net.Packet.free t.st pkt;
-      match payload with
-      | Segment.Ack { ack; ece; sack } -> handle_ack t ~ack ~ece ~sack
-      | _ -> ());
+      let st = t.st in
+      let is_ack = Segment.is_ack st pkt in
+      let ack = Segment.ack st pkt in
+      let ece = Segment.ece st pkt in
+      let sack = Segment.sack st pkt in
+      Net.Packet.free st pkt;
+      if is_ack then handle_ack t ~ack ~ece ~sack);
   t
 
 let start t =

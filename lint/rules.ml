@@ -102,9 +102,9 @@ let rule_doc = function
        lib/engine/time.ml; instants carry a unit, spans are plain int64"
   | R14 ->
       "typed: no per-call allocation in event hot-path functions of \
-       lib/engine and lib/net — partial applications, environment-\
-       capturing closures and boxed-float returns burn the ~13 minor \
-       words/event budget"
+       lib/engine, lib/net and the ACK path of lib/tcp and lib/dctcp — \
+       partial applications, environment-capturing closures and \
+       boxed-float returns break the allocation-free packet path"
 
 (* --- Path scoping ------------------------------------------------------ *)
 

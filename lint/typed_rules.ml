@@ -382,14 +382,18 @@ let lint_units ?(rules = rules) ?(report_paths = [])
         "Net.Port.send"; "Net.Queue_disc.enqueue"; "Net.Queue_disc.dequeue";
         "Net.Queue_disc.dequeue_exn"; "Net.Queue_disc.is_empty";
         "Net.Switch.receive"; "Net.Host.receive";
+        (* the ACK path: every delivered segment ends in one of these *)
+        "Tcp.Sender.handle_ack"; "Tcp.Receiver.handle_data";
+        "Dctcp.Dctcp_cc.on_ack";
       ]
     in
-    let in_engine_or_net src =
+    let in_hot_layers src =
       match after_lib (segments src) with
-      | Some (("engine" | "net") :: _) -> true
+      | Some (("engine" | "net" | "tcp" | "dctcp") :: _) -> true
       | _ -> false
     in
-    (* Hot set: roots plus everything they reach inside lib/engine|net. *)
+    (* Hot set: roots plus everything they reach inside
+       lib/engine|net|tcp|dctcp. *)
     let hot : (string, unit) Hashtbl.t = Hashtbl.create 128 in
     let queue = Queue.create () in
     List.iter
@@ -406,7 +410,7 @@ let lint_units ?(rules = rules) ?(report_paths = [])
           match Callgraph.resolve graph ~from_def:id target with
           | Some node when not (Hashtbl.mem hot node) -> (
               match Callgraph.find_def graph node with
-              | Some nd when in_engine_or_net nd.source ->
+              | Some nd when in_hot_layers nd.source ->
                   Hashtbl.replace hot node ();
                   Queue.push node queue
               | _ -> ())

@@ -260,19 +260,15 @@ let test_scaled_quantisation () =
 
 (* --- Dctcp_cc --- *)
 
-type fake = { mutable cwnd : float; mutable ssthresh : float }
-
+(* The window cells a sender shares with its algorithm: [| cwnd; ssthresh |]. *)
 let fake_api () =
-  let f = { cwnd = 10.; ssthresh = 1e9 } in
+  let f = [| 10.; 1e9 |] in
   let api =
     {
       Tcp.Cc.now = (fun () -> Engine.Time.zero);
       flow = 0;
       tracer = Obs.Trace.null;
-      get_cwnd = (fun () -> f.cwnd);
-      set_cwnd = (fun c -> f.cwnd <- Float.max 1. c);
-      get_ssthresh = (fun () -> f.ssthresh);
-      set_ssthresh = (fun s -> f.ssthresh <- s);
+      w = f;
     }
   in
   (f, api)
@@ -331,43 +327,43 @@ let test_alpha_ewma_gain () =
 let test_reduction_proportional_to_alpha () =
   let f, api = fake_api () in
   let cc = mk_cc ~init_alpha:0.5 api in
-  f.cwnd <- 20.;
+  f.(0) <- 20.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:5 ~snd_nxt:25;
   (* cwnd * (1 - alpha/2) = 20 * 0.75 = 15 *)
-  checkf ~eps:1e-6 "proportional backoff" 15. f.cwnd;
-  checkf ~eps:1e-6 "ssthresh follows" 15. f.ssthresh
+  checkf ~eps:1e-6 "proportional backoff" 15. f.(0);
+  checkf ~eps:1e-6 "ssthresh follows" 15. f.(1)
 
 let test_reduction_once_per_window () =
   let f, api = fake_api () in
   let cc = mk_cc ~init_alpha:1.0 api in
-  f.cwnd <- 16.;
+  f.(0) <- 16.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:5 ~snd_nxt:20;
-  checkf "first reduction" 8. f.cwnd;
+  checkf "first reduction" 8. f.(0);
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:10 ~snd_nxt:21;
-  checkf "no second reduction in window" 8. f.cwnd;
+  checkf "no second reduction in window" 8. f.(0);
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:21 ~snd_nxt:40;
-  checkf "reduces in next window" 4. f.cwnd
+  checkf "reduces in next window" 4. f.(0)
 
 let test_growth_like_reno_without_marks () =
   let f, api = fake_api () in
   let cc = mk_cc api in
-  f.cwnd <- 2.;
-  f.ssthresh <- 8.;
+  f.(0) <- 2.;
+  f.(1) <- 8.;
   cc.Tcp.Cc.on_ack ~newly_acked:2 ~ece:false ~snd_una:2 ~snd_nxt:4;
-  checkf "slow start" 4. f.cwnd;
-  f.cwnd <- 10.;
+  checkf "slow start" 4. f.(0);
+  f.(0) <- 10.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:false ~snd_una:3 ~snd_nxt:14;
-  checkf ~eps:1e-9 "congestion avoidance" 10.1 f.cwnd
+  checkf ~eps:1e-9 "congestion avoidance" 10.1 f.(0)
 
 let test_loss_behaviour () =
   let f, api = fake_api () in
   let cc = mk_cc api in
-  f.cwnd <- 16.;
+  f.(0) <- 16.;
   cc.Tcp.Cc.on_fast_retransmit ();
-  checkf "halve on fast rtx" 8. f.cwnd;
+  checkf "halve on fast rtx" 8. f.(0);
   cc.Tcp.Cc.on_timeout ();
-  checkf "collapse on timeout" 1. f.cwnd;
-  checkf "ssthresh half of pre-timeout" 4. f.ssthresh
+  checkf "collapse on timeout" 1. f.(0);
+  checkf "ssthresh half of pre-timeout" 4. f.(1)
 
 let test_cc_validation () =
   checkb "bad g raises" true
@@ -397,17 +393,14 @@ let test_default_params () =
 (* --- penalty hook & D2TCP --- *)
 
 let fake_api_with_clock () =
-  let f = { cwnd = 10.; ssthresh = 1e9 } in
+  let f = [| 10.; 1e9 |] in
   let clock = ref Engine.Time.zero in
   let api =
     {
       Tcp.Cc.now = (fun () -> !clock);
       flow = 0;
       tracer = Obs.Trace.null;
-      get_cwnd = (fun () -> f.cwnd);
-      set_cwnd = (fun c -> f.cwnd <- Float.max 1. c);
-      get_ssthresh = (fun () -> f.ssthresh);
-      set_ssthresh = (fun s -> f.ssthresh <- s);
+      w = f;
     }
   in
   (f, api, clock)
@@ -421,20 +414,20 @@ let test_penalty_hook_overrides_alpha () =
        ())
       api
   in
-  f.cwnd <- 20.;
+  f.(0) <- 20.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:5 ~snd_nxt:25;
   (* reduction uses the penalty 0.2, not alpha=1: 20 * (1 - 0.1) = 18 *)
-  checkf ~eps:1e-6 "penalty-gated reduction" 18. f.cwnd
+  checkf ~eps:1e-6 "penalty-gated reduction" 18. f.(0)
 
 let test_penalty_clamped () =
   let f, api, _ = fake_api_with_clock () in
   let cc =
     (Dctcp.Dctcp_cc.cc_with_penalty ~penalty:(fun _ -> 5.) ()) api
   in
-  f.cwnd <- 20.;
+  f.(0) <- 20.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:5 ~snd_nxt:25;
   (* clamped to 1: halves like classic TCP *)
-  checkf ~eps:1e-6 "penalty clamped at 1" 10. f.cwnd
+  checkf ~eps:1e-6 "penalty clamped at 1" 10. f.(0)
 
 let test_penalty_context_fields () =
   let f, api, clock = fake_api_with_clock () in
@@ -448,7 +441,7 @@ let test_penalty_context_fields () =
        ())
       api
   in
-  f.cwnd <- 12.;
+  f.(0) <- 12.;
   clock := Engine.Time.of_ms 3.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:7 ~snd_nxt:20;
   match !seen with
@@ -513,10 +506,10 @@ let drive_d2tcp_reduction ~deadline_ms ~alpha =
        ())
       api
   in
-  f.cwnd <- 20.;
+  f.(0) <- 20.;
   clock := Engine.Time.of_ms 1.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:5 ~snd_nxt:25;
-  f.cwnd
+  f.(0)
 
 let test_d2tcp_near_deadline_backs_off_less () =
   (* same alpha, same progress; only the time to deadline differs *)
@@ -537,11 +530,11 @@ let test_d2tcp_completed_flow_falls_back_to_alpha () =
        ~deadline:(Engine.Time.of_ms 1.) ())
       api
   in
-  f.cwnd <- 16.;
+  f.(0) <- 16.;
   clock := Engine.Time.of_ms 5.;
   (* snd_una beyond total: remaining <= 0, penalty = alpha (init 1.0) *)
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:15 ~snd_nxt:20;
-  checkf ~eps:1e-6 "plain dctcp reduction" 8. f.cwnd
+  checkf ~eps:1e-6 "plain dctcp reduction" 8. f.(0)
 
 let test_d2tcp_validation () =
   checkb "bad total raises" true
@@ -610,50 +603,50 @@ let test_newreno_ignores_ece () =
   (* Slow start, every ACK carrying ECE: a loss-based sender must keep
      growing as if the marks were not there. *)
   cc.Tcp.Cc.on_ack ~newly_acked:2 ~ece:true ~snd_una:2 ~snd_nxt:12;
-  checkf "ECE ignored, window grew" 12. f.cwnd
+  checkf "ECE ignored, window grew" 12. f.(0)
 
 let test_newreno_halves_once_per_episode () =
   let f, api = fake_api () in
   let cc = mk_newreno api in
-  f.cwnd <- 16.;
-  f.ssthresh <- 8.;
+  f.(0) <- 16.;
+  f.(1) <- 8.;
   cc.Tcp.Cc.on_ack ~newly_acked:0 ~ece:false ~snd_una:100 ~snd_nxt:200;
   cc.Tcp.Cc.on_fast_retransmit ();
-  checkf "first retransmit halves" 8. f.cwnd;
+  checkf "first retransmit halves" 8. f.(0);
   (* Another fast retransmit while snd_una is still below the recovery
      point (200): same loss episode, window untouched. *)
   cc.Tcp.Cc.on_ack ~newly_acked:0 ~ece:false ~snd_una:150 ~snd_nxt:210;
   cc.Tcp.Cc.on_fast_retransmit ();
-  checkf "same episode: no second halving" 8. f.cwnd;
+  checkf "same episode: no second halving" 8. f.(0);
   (* snd_una passes the recovery point: the next loss is a new episode. *)
   cc.Tcp.Cc.on_ack ~newly_acked:0 ~ece:false ~snd_una:210 ~snd_nxt:260;
   cc.Tcp.Cc.on_fast_retransmit ();
-  checkf "new episode halves again" 4. f.cwnd
+  checkf "new episode halves again" 4. f.(0)
 
 let test_newreno_timeout_collapses () =
   let f, api = fake_api () in
   let cc = mk_newreno api in
-  f.cwnd <- 16.;
+  f.(0) <- 16.;
   cc.Tcp.Cc.on_ack ~newly_acked:0 ~ece:false ~snd_una:100 ~snd_nxt:200;
   cc.Tcp.Cc.on_timeout ();
-  checkf "collapse to 1" 1. f.cwnd;
-  checkf "ssthresh = cwnd/2" 8. f.ssthresh;
+  checkf "collapse to 1" 1. f.(0);
+  checkf "ssthresh = cwnd/2" 8. f.(1);
   (* The timeout opened an episode too: a straggling fast retransmit
      below its recovery point must not halve the recovering window. *)
   cc.Tcp.Cc.on_ack ~newly_acked:0 ~ece:false ~snd_una:150 ~snd_nxt:210;
   cc.Tcp.Cc.on_fast_retransmit ();
-  checkf "no halving inside the timeout episode" 1. f.cwnd
+  checkf "no halving inside the timeout episode" 1. f.(0)
 
 let test_newreno_growth () =
   let f, api = fake_api () in
   let cc = mk_newreno api in
   (* slow start: +1 segment per newly acked segment *)
   cc.Tcp.Cc.on_ack ~newly_acked:3 ~ece:false ~snd_una:3 ~snd_nxt:13;
-  checkf "slow start growth" 13. f.cwnd;
+  checkf "slow start growth" 13. f.(0);
   (* congestion avoidance: +acked/cwnd *)
-  f.ssthresh <- 10.;
+  f.(1) <- 10.;
   cc.Tcp.Cc.on_ack ~newly_acked:13 ~ece:false ~snd_una:16 ~snd_nxt:29;
-  checkf "linear growth" 14. f.cwnd
+  checkf "linear growth" 14. f.(0)
 
 let qtest = QCheck_alcotest.to_alcotest
 

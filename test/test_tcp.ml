@@ -11,6 +11,10 @@ let checkf ?(eps = 1e-9) msg = Alcotest.check (Alcotest.float eps) msg
 
 (* --- Rtt_estimator --- *)
 
+(* The estimator takes and reports int nanoseconds. *)
+let sample e span = Tcp.Rtt_estimator.sample e (Int64.to_int span)
+let rto e = Int64.of_int (Tcp.Rtt_estimator.rto_ns e)
+
 let mk_est () =
   Tcp.Rtt_estimator.create ~min_rto:(Time.span_of_ms 1.)
     ~max_rto:(Time.span_of_sec 10.) ~initial_rto:(Time.span_of_sec 1.) ()
@@ -20,14 +24,14 @@ let test_rtt_initial () =
   checki "no samples" 0 (Tcp.Rtt_estimator.samples e);
   checkb "no srtt" true (Tcp.Rtt_estimator.srtt e = None);
   Alcotest.check Alcotest.int64 "initial rto" (Time.span_of_sec 1.)
-    (Tcp.Rtt_estimator.rto e)
+    (rto e)
 
 let test_rtt_first_sample () =
   let e = mk_est () in
-  Tcp.Rtt_estimator.sample e (Time.span_of_ms 100.);
+  sample e (Time.span_of_ms 100.);
   (* srtt = 100ms, rttvar = 50ms, rto = 100 + 4*50 = 300ms *)
   checkf ~eps:1e-6 "rto after first sample" 0.3
-    (Time.span_to_sec (Tcp.Rtt_estimator.rto e));
+    (Time.span_to_sec (rto e));
   (match Tcp.Rtt_estimator.srtt e with
   | Some s -> checkf ~eps:1e-6 "srtt" 0.1 (Time.span_to_sec s)
   | None -> Alcotest.fail "expected srtt")
@@ -35,14 +39,14 @@ let test_rtt_first_sample () =
 let test_rtt_converges () =
   let e = mk_est () in
   for _ = 1 to 200 do
-    Tcp.Rtt_estimator.sample e (Time.span_of_ms 10.)
+    sample e (Time.span_of_ms 10.)
   done;
   (* constant samples: rttvar -> 0, rto -> min clamp or srtt *)
   (match Tcp.Rtt_estimator.srtt e with
   | Some s -> checkf ~eps:1e-4 "srtt converges" 0.01 (Time.span_to_sec s)
   | None -> Alcotest.fail "expected srtt");
   checkb "rto near srtt" true
-    (Time.span_to_sec (Tcp.Rtt_estimator.rto e) < 0.02)
+    (Time.span_to_sec (rto e) < 0.02)
 
 let test_rtt_min_clamp () =
   let e =
@@ -50,23 +54,23 @@ let test_rtt_min_clamp () =
       ~max_rto:(Time.span_of_sec 60.) ~initial_rto:(Time.span_of_sec 1.) ()
   in
   for _ = 1 to 50 do
-    Tcp.Rtt_estimator.sample e (Time.span_of_us 100.)
+    sample e (Time.span_of_us 100.)
   done;
   checkf ~eps:1e-9 "clamped at min" 0.2
-    (Time.span_to_sec (Tcp.Rtt_estimator.rto e))
+    (Time.span_to_sec (rto e))
 
 let test_rtt_backoff () =
   let e = mk_est () in
-  Tcp.Rtt_estimator.sample e (Time.span_of_ms 100.);
-  let r0 = Time.span_to_sec (Tcp.Rtt_estimator.rto e) in
+  sample e (Time.span_of_ms 100.);
+  let r0 = Time.span_to_sec (rto e) in
   Tcp.Rtt_estimator.backoff e;
   checkf ~eps:1e-9 "doubled" (2. *. r0)
-    (Time.span_to_sec (Tcp.Rtt_estimator.rto e));
+    (Time.span_to_sec (rto e));
   for _ = 1 to 20 do
     Tcp.Rtt_estimator.backoff e
   done;
   checkf ~eps:1e-9 "capped at max" 10.
-    (Time.span_to_sec (Tcp.Rtt_estimator.rto e))
+    (Time.span_to_sec (rto e))
 
 let test_rtt_validation () =
   checkb "min>max raises" true
@@ -79,19 +83,15 @@ let test_rtt_validation () =
 
 (* --- Cc baselines via a fake flow api --- *)
 
-type fake_flow = { mutable cwnd : float; mutable ssthresh : float }
-
+(* The window cells a sender shares with its algorithm: [| cwnd; ssthresh |]. *)
 let fake_api () =
-  let f = { cwnd = 2.; ssthresh = 1e9 } in
+  let f = [| 2.; 1e9 |] in
   let api =
     {
       Tcp.Cc.now = (fun () -> Time.zero);
       flow = 0;
       tracer = Obs.Trace.null;
-      get_cwnd = (fun () -> f.cwnd);
-      set_cwnd = (fun c -> f.cwnd <- Float.max 1. c);
-      get_ssthresh = (fun () -> f.ssthresh);
-      set_ssthresh = (fun s -> f.ssthresh <- s);
+      w = f;
     }
   in
   (f, api)
@@ -100,61 +100,61 @@ let test_reno_slow_start () =
   let f, api = fake_api () in
   let cc = Tcp.Cc.reno api in
   cc.Tcp.Cc.on_ack ~newly_acked:2 ~ece:false ~snd_una:2 ~snd_nxt:4;
-  checkf "cwnd grows by acked in slow start" 4. f.cwnd
+  checkf "cwnd grows by acked in slow start" 4. f.(0)
 
 let test_reno_congestion_avoidance () =
   let f, api = fake_api () in
   let cc = Tcp.Cc.reno api in
-  f.cwnd <- 10.;
-  f.ssthresh <- 5.;
+  f.(0) <- 10.;
+  f.(1) <- 5.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:false ~snd_una:1 ~snd_nxt:11;
-  checkf ~eps:1e-9 "cwnd += 1/cwnd" 10.1 f.cwnd
+  checkf ~eps:1e-9 "cwnd += 1/cwnd" 10.1 f.(0)
 
 let test_reno_ignores_ece () =
   let f, api = fake_api () in
   let cc = Tcp.Cc.reno api in
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:1 ~snd_nxt:3;
-  checkf "reno grows despite ece" 3. f.cwnd
+  checkf "reno grows despite ece" 3. f.(0)
 
 let test_reno_fast_retransmit () =
   let f, api = fake_api () in
   let cc = Tcp.Cc.reno api in
-  f.cwnd <- 16.;
+  f.(0) <- 16.;
   cc.Tcp.Cc.on_fast_retransmit ();
-  checkf "halved" 8. f.cwnd;
-  checkf "ssthresh" 8. f.ssthresh
+  checkf "halved" 8. f.(0);
+  checkf "ssthresh" 8. f.(1)
 
 let test_reno_timeout () =
   let f, api = fake_api () in
   let cc = Tcp.Cc.reno api in
-  f.cwnd <- 16.;
+  f.(0) <- 16.;
   cc.Tcp.Cc.on_timeout ();
-  checkf "collapsed" 1. f.cwnd;
-  checkf "ssthresh half" 8. f.ssthresh;
+  checkf "collapsed" 1. f.(0);
+  checkf "ssthresh half" 8. f.(1);
   checkb "no alpha" true (cc.Tcp.Cc.alpha () = None)
 
 let test_ecn_reno_halves_once_per_window () =
   let f, api = fake_api () in
   let cc = Tcp.Cc.ecn_reno api in
-  f.cwnd <- 16.;
+  f.(0) <- 16.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:5 ~snd_nxt:20;
-  checkf "halved" 8. f.cwnd;
+  checkf "halved" 8. f.(0);
   (* further ECE inside the same window is ignored *)
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:10 ~snd_nxt:22;
-  checkf "not halved again" 8. f.cwnd;
+  checkf "not halved again" 8. f.(0);
   (* past the recorded snd_nxt the next ECE bites again *)
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:21 ~snd_nxt:30;
-  checkf "halved in next window" 4. f.cwnd
+  checkf "halved in next window" 4. f.(0)
 
 let test_aimd_parameters () =
   let f, api = fake_api () in
   let cc = Tcp.Cc.ai_md ~increase:2. ~decrease:0.25 api in
-  f.cwnd <- 10.;
-  f.ssthresh <- 1.;
+  f.(0) <- 10.;
+  f.(1) <- 1.;
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:false ~snd_una:1 ~snd_nxt:10;
-  checkf ~eps:1e-9 "additive increase scaled" 10.2 f.cwnd;
+  checkf ~eps:1e-9 "additive increase scaled" 10.2 f.(0);
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:2 ~snd_nxt:11;
-  checkf ~eps:1e-6 "multiplicative decrease" (10.2 *. 0.75) f.cwnd
+  checkf ~eps:1e-6 "multiplicative decrease" (10.2 *. 0.75) f.(0)
 
 let test_aimd_validation () =
   let _, api = fake_api () in
@@ -170,12 +170,21 @@ let test_aimd_validation () =
 (* --- Segment --- *)
 
 let test_segment_describe () =
+  let st = Net.Packet.store_of (Sim.create ()) in
+  let data =
+    Tcp.Segment.make_data st ~src:0 ~dst:1 ~flow:0 ~size:1500
+      ~ecn:Net.Packet.Ect ~seq:5
+  in
+  let ack sack =
+    Tcp.Segment.make_ack st ~src:1 ~dst:0 ~flow:0 ~size:40 ~ack:3 ~ece:true
+      ~sack
+  in
   Alcotest.check Alcotest.string "data" "data seq=5"
-    (Tcp.Segment.describe (Tcp.Segment.data ~seq:5));
+    (Tcp.Segment.describe st data);
   Alcotest.check Alcotest.string "ack" "ack=3 ece=true"
-    (Tcp.Segment.describe (Tcp.Segment.ack ~ack:3 ~ece:true ~sack:[]));
-  Alcotest.check Alcotest.string "other" "other"
-    (Tcp.Segment.describe Net.Packet.No_payload)
+    (Tcp.Segment.describe st (ack []));
+  Alcotest.check Alcotest.string "sack" "ack=3 ece=true sack=[5-7;9-10]"
+    (Tcp.Segment.describe st (ack [ (5, 7); (9, 10) ]))
 
 (* --- End-to-end transfers --- *)
 
@@ -341,9 +350,8 @@ let test_receiver_ooo_buffering () =
   let r = Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0 () in
   let push seq =
     Net.Host.receive h
-      (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-         ~size:1500 ~ecn:Net.Packet.Ect
-         (Tcp.Segment.data ~seq))
+      (Tcp.Segment.make_data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
+         ~size:1500 ~ecn:Net.Packet.Ect ~seq)
   in
   push 0;
   checki "in order" 1 (Tcp.Receiver.segments_delivered r);
@@ -364,17 +372,14 @@ let test_receiver_echo_per_packet () =
   Net.Host.attach_nic h
     (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
-         (match Net.Packet.payload st p with
-         | Tcp.Segment.Ack { ack; ece; sack = _ } ->
-             acks := (ack, ece) :: !acks
-         | _ -> ());
+         if Tcp.Segment.is_ack st p then
+           acks := (Tcp.Segment.ack st p, Tcp.Segment.ece st p) :: !acks;
          Net.Packet.free st p));
   let _r = Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0 () in
   let push seq ecn =
     Net.Host.receive h
-      (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-         ~size:1500 ~ecn
-         (Tcp.Segment.data ~seq))
+      (Tcp.Segment.make_data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
+         ~size:1500 ~ecn ~seq)
   in
   push 0 Net.Packet.Ect;
   push 1 Net.Packet.Ce;
@@ -394,10 +399,8 @@ let test_receiver_echo_dctcp_delayed () =
   Net.Host.attach_nic h
     (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
-         (match Net.Packet.payload st p with
-         | Tcp.Segment.Ack { ack; ece; sack = _ } ->
-             acks := (ack, ece) :: !acks
-         | _ -> ());
+         if Tcp.Segment.is_ack st p then
+           acks := (Tcp.Segment.ack st p, Tcp.Segment.ece st p) :: !acks;
          Net.Packet.free st p));
   let r =
     Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0
@@ -405,9 +408,8 @@ let test_receiver_echo_dctcp_delayed () =
   in
   let push seq ecn =
     Net.Host.receive h
-      (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-         ~size:1500 ~ecn
-         (Tcp.Segment.data ~seq))
+      (Tcp.Segment.make_data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
+         ~size:1500 ~ecn ~seq)
   in
   (* two unmarked packets -> one coalesced ACK(ece=false) *)
   push 0 Net.Packet.Ect;
@@ -446,16 +448,13 @@ let test_receiver_sack_blocks () =
   Net.Host.attach_nic h
     (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
-         (match Net.Packet.payload st p with
-         | Tcp.Segment.Ack { sack; _ } -> last_sack := sack
-         | _ -> ());
+         if Tcp.Segment.is_ack st p then last_sack := Tcp.Segment.sack st p;
          Net.Packet.free st p));
   let _r = Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0 ~sack:true () in
   let push seq =
     Net.Host.receive h
-      (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-         ~size:1500 ~ecn:Net.Packet.Ect
-         (Tcp.Segment.data ~seq));
+      (Tcp.Segment.make_data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
+         ~size:1500 ~ecn:Net.Packet.Ect ~seq);
     Sim.run sim
   in
   push 0;
@@ -485,17 +484,14 @@ let test_receiver_sack_block_limit () =
   Net.Host.attach_nic h
     (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
-         (match Net.Packet.payload st p with
-         | Tcp.Segment.Ack { sack; _ } -> last_sack := sack
-         | _ -> ());
+         if Tcp.Segment.is_ack st p then last_sack := Tcp.Segment.sack st p;
          Net.Packet.free st p));
   let _r = Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0 ~sack:true () in
   List.iter
     (fun seq ->
       Net.Host.receive h
-        (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-           ~size:1500 ~ecn:Net.Packet.Ect
-           (Tcp.Segment.data ~seq)))
+        (Tcp.Segment.make_data (Net.Packet.store_of sim) ~src:0 ~dst:1
+           ~flow:0 ~size:1500 ~ecn:Net.Packet.Ect ~seq))
     [ 2; 4; 6; 8; 10 ];
   Sim.run sim;
   checki "at most three blocks" 3 (List.length !last_sack)
@@ -546,6 +542,41 @@ let test_sack_fewer_retransmissions () =
        overhead_gbn)
     true
     (overhead_sack < overhead_gbn)
+
+(* The window contract: an algorithm writes raw values into [w]; the
+   sender clamps cwnd into [1, max_cwnd] and ssthresh to at least 1 once
+   the callback returns. This algorithm writes out-of-range values on
+   every ACK and records what it finds at the next one. *)
+let test_sender_clamps_window () =
+  let sim, d = mk_net () in
+  let seen = ref [] in
+  let wild (api : Tcp.Cc.flow_api) =
+    let w = api.Tcp.Cc.w in
+    {
+      (Tcp.Cc.reno api) with
+      Tcp.Cc.on_ack =
+        (fun ~newly_acked:_ ~ece:_ ~snd_una ~snd_nxt:_ ->
+          seen := (w.(0), w.(1)) :: !seen;
+          w.(0) <- (if snd_una mod 2 = 0 then 0.25 else 1e6);
+          w.(1) <- -3.);
+    }
+  in
+  let flow =
+    Tcp.Flow.create sim ~src:d.Net.Topology.senders.(0)
+      ~dst:d.Net.Topology.receiver ~flow:0 ~cc:wild
+      ~config:{ fast_config with Tcp.Sender.max_cwnd = 8. }
+      ~limit_segments:100 ()
+  in
+  Tcp.Flow.start flow;
+  Sim.run ~until:(Time.of_sec 1.) sim;
+  checkb "transfer completes" true (Tcp.Flow.completed flow);
+  match List.rev !seen with
+  | [] -> Alcotest.fail "no ACK reached the algorithm"
+  | _ :: later ->
+      checkb "every later ACK sees cwnd 1 or max_cwnd and ssthresh 1" true
+        (List.for_all
+           (fun (c, s) -> (Float.equal c 1. || Float.equal c 8.) && Float.equal s 1.)
+           later)
 
 let test_sender_validation () =
   let sim, d = mk_net () in
@@ -636,6 +667,8 @@ let suites =
         Alcotest.test_case "sack beats go-back-N on retransmissions" `Slow
           test_sack_fewer_retransmissions;
         Alcotest.test_case "validation" `Quick test_sender_validation;
+        Alcotest.test_case "window clamped after each callback" `Quick
+          test_sender_clamps_window;
         Alcotest.test_case "determinism" `Quick test_flow_determinism;
       ] );
   ]

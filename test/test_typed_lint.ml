@@ -247,6 +247,50 @@ let test_r14_hot_path_allocs () =
   Alcotest.(check bool) "capture message names the variable" true
     (contains ~sub:"captures n" capture.message)
 
+(* The ACK path is rooted by name: Sender.handle_ack, Receiver.handle_data
+   and DCTCP's on_ack, with the hot set spreading through lib/tcp and
+   lib/dctcp. Named roots match dune's mangled module names, so these
+   fixtures compile to tcp__Sender etc. DCTCP's [cut] returns a boxed
+   float to on_ack; [handle_data] and [handle_ack] build capturing
+   closures; [cold] has the same shape but nothing hot reaches it. *)
+let s14_ack =
+  lazy
+    (let root = mkdtemp () in
+     let files =
+       [
+         ( "lib/tcp/sender.ml", "tcp__Sender",
+           "let handle_ack acks ~ack = List.iter (fun a -> ignore (a + ack)) acks\n\
+            let cold acks ~ack = List.iter (fun a -> ignore (a + ack)) acks\n" );
+         ( "lib/tcp/receiver.ml", "tcp__Receiver",
+           "let handle_data held ~seq = List.exists (fun s -> s = seq) held\n" );
+         ( "lib/dctcp/dctcp_cc.ml", "dctcp__Dctcp_cc",
+           "let cut cwnd alpha = cwnd *. (1. -. (alpha /. 2.))\n\
+            let on_ack w alpha ~ece = if ece then w.(0) <- cut w.(0) alpha\n" );
+       ]
+     in
+     List.iter
+       (fun (rel, modname, src) ->
+         write root rel src;
+         let out = Filename.concat (Filename.dirname rel) (modname ^ ".cmo") in
+         let cmd =
+           Printf.sprintf "cd %s && ocamlc -bin-annot -w -a -c %s -o %s"
+             (Filename.quote root) (Filename.quote rel) (Filename.quote out)
+         in
+         if Sys.command cmd <> 0 then
+           Alcotest.failf "fixture failed to compile: %s" rel)
+       files;
+     root)
+
+let test_r14_ack_path () =
+  check_renders
+    "closures in handle_ack/handle_data and the float cut under on_ack \
+     flagged; the cold twin stays legal"
+    [
+      "R14 lib/dctcp/dctcp_cc.ml:1"; "R14 lib/tcp/receiver.ml:1";
+      "R14 lib/tcp/sender.ml:1";
+    ]
+    (lint_root (Lazy.force s14_ack))
+
 (* --- determinism: reports are stable under module reordering ----------- *)
 
 let render_full (v : R.violation) =
@@ -280,6 +324,7 @@ let suites =
         Alcotest.test_case "R13 instant hygiene" `Quick test_r13_instant_hygiene;
         Alcotest.test_case "R14 hot-path allocations" `Quick
           test_r14_hot_path_allocs;
+        Alcotest.test_case "R14 ACK-path roots" `Quick test_r14_ack_path;
         QCheck_alcotest.to_alcotest test_reorder_stability;
       ] );
   ]
