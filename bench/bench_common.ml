@@ -40,68 +40,35 @@ let bad_outcome name msg : 'a =
   Printf.eprintf "bench: run %s: %s\n" name msg;
   exit 1
 
-let longlived_of (o : Exp.Runner.outcome) =
+let payload_of project (o : Exp.Runner.outcome) =
+  let name = o.Exp.Runner.spec.Exp.Spec.name in
   match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Longlived r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+  | Exp.Outcome.Failed { error; _ } -> bad_outcome name error
+  | Exp.Outcome.Done p -> (
+      match project p with
+      | Some r -> r
+      | None ->
+          bad_outcome name ("unexpected payload " ^ Exp.Outcome.payload_kind p))
 
-let incast_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Incast r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let longlived_of =
+  payload_of (function Exp.Outcome.Longlived r -> Some r | _ -> None)
 
-let completion_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Completion r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let incast_of = payload_of (function Exp.Outcome.Incast r -> Some r | _ -> None)
 
-let deadline_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Deadline r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let completion_of =
+  payload_of (function Exp.Outcome.Completion r -> Some r | _ -> None)
 
-let dynamic_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Dynamic r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let deadline_of =
+  payload_of (function Exp.Outcome.Deadline r -> Some r | _ -> None)
 
-let convergence_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Convergence r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let dynamic_of =
+  payload_of (function Exp.Outcome.Dynamic r -> Some r | _ -> None)
 
-let fattree_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Fattree r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let convergence_of =
+  payload_of (function Exp.Outcome.Convergence r -> Some r | _ -> None)
+
+let fattree_of =
+  payload_of (function Exp.Outcome.Fattree r -> Some r | _ -> None)
 
 let section_header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')

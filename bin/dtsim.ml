@@ -54,11 +54,14 @@ let fail fmt =
     fmt
 
 let read_file file =
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  match In_channel.open_bin file with
+  | exception Sys_error e -> fail "%s" e
+  | ic -> (
+      match In_channel.input_all ic with
+      | s ->
+          In_channel.close ic;
+          s
+      | exception Sys_error e -> fail "%s: %s" file e)
 
 let specs_of_file file =
   match Obs.Json.parse (read_file file) with

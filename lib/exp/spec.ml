@@ -46,15 +46,6 @@ let protocol_name = function
   | Dctcp_scaled _ -> "dctcp-scaled"
   | Dt_dctcp_scaled _ -> "dt-dctcp-scaled"
 
-let workload_name = function
-  | Longlived _ -> "longlived"
-  | Incast _ -> "incast"
-  | Completion _ -> "completion"
-  | Dynamic _ -> "dynamic"
-  | Convergence _ -> "convergence"
-  | Deadline _ -> "deadline"
-  | Fattree _ -> "fattree"
-
 let protocol_of = function
   | Dctcp { g; k_bytes } -> Dctcp.Protocol.dctcp ~g ~k_bytes ()
   | Dt_dctcp { g; k1_bytes; k2_bytes } ->
@@ -66,33 +57,7 @@ let protocol_of = function
   | Dt_dctcp_scaled { g; k1_frac; k2_frac } ->
       Dctcp.Protocol.dt_dctcp_scaled ~g ~k1_frac ~k2_frac ()
 
-let seed t =
-  match t.workload with
-  | Longlived c -> c.L.seed
-  | Incast { config; _ } -> config.I.seed
-  | Completion c -> c.Cp.seed
-  | Dynamic c -> c.Dy.seed
-  | Convergence c -> c.Cv.seed
-  | Deadline { config; _ } -> config.De.seed
-  | Fattree c -> c.Ft.seed
-
-let with_seed seed t =
-  let workload =
-    match t.workload with
-    | Longlived c -> Longlived { c with L.seed }
-    | Incast { config; sack } -> Incast { config = { config with I.seed }; sack }
-    | Completion c -> Completion { c with Cp.seed }
-    | Dynamic c -> Dynamic { c with Dy.seed }
-    | Convergence c -> Convergence { c with Cv.seed }
-    | Deadline { config; d2tcp } ->
-        Deadline { config = { config with De.seed }; d2tcp }
-    | Fattree c -> Fattree { c with Ft.seed }
-  in
-  { t with workload }
-
-let with_name name t = { t with name }
-
-(* --- JSON encoding ---
+(* --- JSON values ---
 
    Spans are serialized as integer nanoseconds ([Engine.Time.span] is an
    [int64], always in-range for OCaml's 63-bit [int] at simulated
@@ -100,124 +65,384 @@ let with_name name t = { t with name }
    so full-width int64 values survive readers without exact 64-bit
    integers. *)
 
-let span s = Json.Int (Int64.to_int s)
-let span_opt = function None -> Json.Null | Some s -> span s
-let seed_json s = Json.String (Int64.to_string s)
+let ( let* ) = Result.bind
 
-let longlived_fields (c : L.config) =
+let field name j =
+  match Json.member name j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "Spec.of_json: missing field %S" name)
+
+let wrong name got =
+  Error (Printf.sprintf "Spec.of_json: field %S is not a %s" name got)
+
+let string_field name j =
+  let* v = field name j in
+  match v with Json.String s -> Ok s | _ -> wrong name "string"
+
+(* --- workload field tables ---
+
+   Each workload's JSON form is written once, as a table: its fields in
+   key order, each with its JSON kind, a getter and a setter. One encoder
+   and one decoder run every table. The decoder folds the setters over
+   the module's [default_config], but every key is still required: the
+   default is only the record the setters write into. *)
+
+type _ kind =
+  | Int : int kind
+  | Float : float kind
+  | Span : Engine.Time.span kind
+  | Span_opt : Engine.Time.span option kind
+  | Seed : int64 kind
+  | Bool : bool kind
+
+type 'c field =
+  | Field : string * 'a kind * ('c -> 'a) * ('a -> 'c -> 'c) -> 'c field
+
+let encode_value : type a. a kind -> a -> Json.t =
+ fun kind v ->
+  match kind with
+  | Int -> Json.Int v
+  | Float -> Json.Float v
+  | Span -> Json.Int (Int64.to_int v)
+  | Span_opt -> (
+      match v with None -> Json.Null | Some s -> Json.Int (Int64.to_int s))
+  | Seed -> Json.String (Int64.to_string v)
+  | Bool -> Json.Bool v
+
+let decode_value : type a. a kind -> string -> Json.t -> (a, string) result =
+ fun kind key j ->
+  match field key j with
+  | Error e -> Error e
+  | Ok v -> (
+      match (kind, v) with
+      | Int, Json.Int i -> Ok i
+      | Int, _ -> wrong key "int"
+      | Float, Json.Float f -> Ok f
+      | Float, Json.Int i -> Ok (float_of_int i)
+      | Float, _ -> wrong key "number"
+      | Span, Json.Int i -> Ok (Int64.of_int i)
+      | Span, _ -> wrong key "int"
+      | Span_opt, Json.Null -> Ok None
+      | Span_opt, Json.Int i -> Ok (Some (Int64.of_int i))
+      | Span_opt, _ -> wrong key "int or null"
+      | Seed, Json.String s -> (
+          match Int64.of_string_opt s with
+          | Some i -> Ok i
+          | None -> wrong key "decimal int64 string")
+      | Seed, Json.Int i -> Ok (Int64.of_int i)
+      | Seed, _ -> wrong key "seed"
+      | Bool, Json.Bool b -> Ok b
+      | Bool, _ -> wrong key "bool")
+
+let int_field = decode_value Int
+let float_field = decode_value Float
+
+type 'c table = {
+  kind : string;  (** The JSON [kind] tag. *)
+  fields : 'c field list;
+  default : 'c;
+  wrap : 'c -> workload;
+}
+
+(* Incast and Deadline carry one flag beside their config; their tables
+   run over the pair, the flag's key first. *)
+let with_flag key fields =
+  Field (key, Bool, snd, fun b (c, _) -> (c, b))
+  :: List.map
+       (fun (Field (k, kind, get, set)) ->
+         Field (k, kind, (fun (c, _) -> get c), fun v (c, b) -> (set v c, b)))
+       fields
+
+let longlived =
+  {
+    kind = "longlived";
+    default = L.default_config;
+    wrap = (fun c -> Longlived c);
+    fields =
+      L.
+        [
+          Field ("n_flows", Int, (fun c -> c.n_flows), fun v c ->
+            { c with n_flows = v });
+          Field ("bottleneck_rate_bps", Float, (fun c -> c.bottleneck_rate_bps),
+            fun v c -> { c with bottleneck_rate_bps = v });
+          Field ("rtt", Span, (fun c -> c.rtt), fun v c -> { c with rtt = v });
+          Field ("buffer_bytes", Int, (fun c -> c.buffer_bytes), fun v c ->
+            { c with buffer_bytes = v });
+          Field ("segment_bytes", Int, (fun c -> c.segment_bytes), fun v c ->
+            { c with segment_bytes = v });
+          Field ("warmup", Span, (fun c -> c.warmup), fun v c ->
+            { c with warmup = v });
+          Field ("measure", Span, (fun c -> c.measure), fun v c ->
+            { c with measure = v });
+          Field ("trace_sampling", Span_opt, (fun c -> c.trace_sampling),
+            fun v c -> { c with trace_sampling = v });
+          Field ("alpha_sample_period", Span, (fun c -> c.alpha_sample_period),
+            fun v c -> { c with alpha_sample_period = v });
+          Field ("stagger", Span, (fun c -> c.stagger), fun v c ->
+            { c with stagger = v });
+          Field ("min_rto", Span, (fun c -> c.min_rto), fun v c ->
+            { c with min_rto = v });
+          Field ("seed", Seed, (fun c -> c.seed), fun v c ->
+            { c with seed = v });
+        ];
+  }
+
+let incast =
+  {
+    kind = "incast";
+    default = (I.default_config, false);
+    wrap = (fun (config, sack) -> Incast { config; sack });
+    fields =
+      with_flag "sack"
+        I.
+          [
+            Field ("n_flows", Int, (fun c -> c.n_flows), fun v c ->
+              { c with n_flows = v });
+            Field ("bytes_per_flow", Int, (fun c -> c.bytes_per_flow),
+              fun v c -> { c with bytes_per_flow = v });
+            Field ("repeats", Int, (fun c -> c.repeats), fun v c ->
+              { c with repeats = v });
+            Field ("rate_bps", Float, (fun c -> c.rate_bps), fun v c ->
+              { c with rate_bps = v });
+            Field ("buffer_bytes", Int, (fun c -> c.buffer_bytes), fun v c ->
+              { c with buffer_bytes = v });
+            Field ("leaf_buffer_bytes", Int, (fun c -> c.leaf_buffer_bytes),
+              fun v c -> { c with leaf_buffer_bytes = v });
+            Field ("segment_bytes", Int, (fun c -> c.segment_bytes), fun v c ->
+              { c with segment_bytes = v });
+            Field ("min_rto", Span, (fun c -> c.min_rto), fun v c ->
+              { c with min_rto = v });
+            Field ("time_cap", Span, (fun c -> c.time_cap), fun v c ->
+              { c with time_cap = v });
+            Field ("start_jitter", Span, (fun c -> c.start_jitter), fun v c ->
+              { c with start_jitter = v });
+            Field ("initial_cwnd", Float, (fun c -> c.initial_cwnd), fun v c ->
+              { c with initial_cwnd = v });
+            Field ("seed", Seed, (fun c -> c.seed), fun v c ->
+              { c with seed = v });
+          ];
+  }
+
+let completion =
+  {
+    kind = "completion";
+    default = Cp.default_config;
+    wrap = (fun c -> Completion c);
+    fields =
+      Cp.
+        [
+          Field ("n_flows", Int, (fun c -> c.n_flows), fun v c ->
+            { c with n_flows = v });
+          Field ("total_bytes", Int, (fun c -> c.total_bytes), fun v c ->
+            { c with total_bytes = v });
+          Field ("repeats", Int, (fun c -> c.repeats), fun v c ->
+            { c with repeats = v });
+          Field ("rate_bps", Float, (fun c -> c.rate_bps), fun v c ->
+            { c with rate_bps = v });
+          Field ("buffer_bytes", Int, (fun c -> c.buffer_bytes), fun v c ->
+            { c with buffer_bytes = v });
+          Field ("leaf_buffer_bytes", Int, (fun c -> c.leaf_buffer_bytes),
+            fun v c -> { c with leaf_buffer_bytes = v });
+          Field ("segment_bytes", Int, (fun c -> c.segment_bytes), fun v c ->
+            { c with segment_bytes = v });
+          Field ("min_rto", Span, (fun c -> c.min_rto), fun v c ->
+            { c with min_rto = v });
+          Field ("time_cap", Span, (fun c -> c.time_cap), fun v c ->
+            { c with time_cap = v });
+          Field ("seed", Seed, (fun c -> c.seed), fun v c ->
+            { c with seed = v });
+        ];
+  }
+
+let dynamic =
+  {
+    kind = "dynamic";
+    default = Dy.default_config;
+    wrap = (fun c -> Dynamic c);
+    fields =
+      Dy.
+        [
+          Field ("background_flows", Int, (fun c -> c.background_flows),
+            fun v c -> { c with background_flows = v });
+          Field ("short_senders", Int, (fun c -> c.short_senders), fun v c ->
+            { c with short_senders = v });
+          Field ("arrival_rate", Float, (fun c -> c.arrival_rate), fun v c ->
+            { c with arrival_rate = v });
+          Field ("short_flow_segments", Int, (fun c -> c.short_flow_segments),
+            fun v c -> { c with short_flow_segments = v });
+          Field ("duration", Span, (fun c -> c.duration), fun v c ->
+            { c with duration = v });
+          Field ("warmup", Span, (fun c -> c.warmup), fun v c ->
+            { c with warmup = v });
+          Field ("drain", Span, (fun c -> c.drain), fun v c ->
+            { c with drain = v });
+          Field ("bottleneck_rate_bps", Float, (fun c -> c.bottleneck_rate_bps),
+            fun v c -> { c with bottleneck_rate_bps = v });
+          Field ("rtt", Span, (fun c -> c.rtt), fun v c -> { c with rtt = v });
+          Field ("buffer_bytes", Int, (fun c -> c.buffer_bytes), fun v c ->
+            { c with buffer_bytes = v });
+          Field ("segment_bytes", Int, (fun c -> c.segment_bytes), fun v c ->
+            { c with segment_bytes = v });
+          Field ("min_rto", Span, (fun c -> c.min_rto), fun v c ->
+            { c with min_rto = v });
+          Field ("seed", Seed, (fun c -> c.seed), fun v c ->
+            { c with seed = v });
+        ];
+  }
+
+let convergence =
+  {
+    kind = "convergence";
+    default = Cv.default_config;
+    wrap = (fun c -> Convergence c);
+    fields =
+      Cv.
+        [
+          Field ("n_flows", Int, (fun c -> c.n_flows), fun v c ->
+            { c with n_flows = v });
+          Field ("join_interval", Span, (fun c -> c.join_interval), fun v c ->
+            { c with join_interval = v });
+          Field ("hold", Span, (fun c -> c.hold), fun v c ->
+            { c with hold = v });
+          Field ("sample_window", Span, (fun c -> c.sample_window), fun v c ->
+            { c with sample_window = v });
+          Field ("bottleneck_rate_bps", Float, (fun c -> c.bottleneck_rate_bps),
+            fun v c -> { c with bottleneck_rate_bps = v });
+          Field ("rtt", Span, (fun c -> c.rtt), fun v c -> { c with rtt = v });
+          Field ("buffer_bytes", Int, (fun c -> c.buffer_bytes), fun v c ->
+            { c with buffer_bytes = v });
+          Field ("segment_bytes", Int, (fun c -> c.segment_bytes), fun v c ->
+            { c with segment_bytes = v });
+          Field ("min_rto", Span, (fun c -> c.min_rto), fun v c ->
+            { c with min_rto = v });
+          Field ("convergence_band", Float, (fun c -> c.convergence_band),
+            fun v c -> { c with convergence_band = v });
+          Field ("seed", Seed, (fun c -> c.seed), fun v c ->
+            { c with seed = v });
+        ];
+  }
+
+let deadline =
+  {
+    kind = "deadline";
+    default = (De.default_config, false);
+    wrap = (fun (config, d2tcp) -> Deadline { config; d2tcp });
+    fields =
+      with_flag "d2tcp"
+        De.
+          [
+            Field ("n_flows", Int, (fun c -> c.n_flows), fun v c ->
+              { c with n_flows = v });
+            Field ("bytes_per_flow", Int, (fun c -> c.bytes_per_flow),
+              fun v c -> { c with bytes_per_flow = v });
+            Field ("deadline", Span, (fun c -> c.deadline), fun v c ->
+              { c with deadline = v });
+            Field ("deadline_spread", Span, (fun c -> c.deadline_spread),
+              fun v c -> { c with deadline_spread = v });
+            Field ("repeats", Int, (fun c -> c.repeats), fun v c ->
+              { c with repeats = v });
+            Field ("rate_bps", Float, (fun c -> c.rate_bps), fun v c ->
+              { c with rate_bps = v });
+            Field ("buffer_bytes", Int, (fun c -> c.buffer_bytes), fun v c ->
+              { c with buffer_bytes = v });
+            Field ("leaf_buffer_bytes", Int, (fun c -> c.leaf_buffer_bytes),
+              fun v c -> { c with leaf_buffer_bytes = v });
+            Field ("segment_bytes", Int, (fun c -> c.segment_bytes), fun v c ->
+              { c with segment_bytes = v });
+            Field ("min_rto", Span, (fun c -> c.min_rto), fun v c ->
+              { c with min_rto = v });
+            Field ("start_jitter", Span, (fun c -> c.start_jitter), fun v c ->
+              { c with start_jitter = v });
+            Field ("time_cap", Span, (fun c -> c.time_cap), fun v c ->
+              { c with time_cap = v });
+            Field ("seed", Seed, (fun c -> c.seed), fun v c ->
+              { c with seed = v });
+          ];
+  }
+
+let fattree =
+  {
+    kind = "fattree";
+    default = Ft.default_config;
+    wrap = (fun c -> Fattree c);
+    fields =
+      Ft.
+        [
+          Field ("k", Int, (fun c -> c.k), fun v c -> { c with k = v });
+          Field ("incast_fanin", Int, (fun c -> c.incast_fanin), fun v c ->
+            { c with incast_fanin = v });
+          Field ("incast_bytes", Int, (fun c -> c.incast_bytes), fun v c ->
+            { c with incast_bytes = v });
+          Field ("long_flows", Int, (fun c -> c.long_flows), fun v c ->
+            { c with long_flows = v });
+          Field ("long_bytes", Int, (fun c -> c.long_bytes), fun v c ->
+            { c with long_bytes = v });
+          Field ("rate_bps", Float, (fun c -> c.rate_bps), fun v c ->
+            { c with rate_bps = v });
+          Field ("link_delay", Span, (fun c -> c.link_delay), fun v c ->
+            { c with link_delay = v });
+          Field ("queue_bytes", Int, (fun c -> c.queue_bytes), fun v c ->
+            { c with queue_bytes = v });
+          Field ("segment_bytes", Int, (fun c -> c.segment_bytes), fun v c ->
+            { c with segment_bytes = v });
+          Field ("min_rto", Span, (fun c -> c.min_rto), fun v c ->
+            { c with min_rto = v });
+          Field ("time_cap", Span, (fun c -> c.time_cap), fun v c ->
+            { c with time_cap = v });
+          Field ("start_spread", Span, (fun c -> c.start_spread), fun v c ->
+            { c with start_spread = v });
+          Field ("initial_cwnd", Float, (fun c -> c.initial_cwnd), fun v c ->
+            { c with initial_cwnd = v });
+          Field ("seed", Seed, (fun c -> c.seed), fun v c ->
+            { c with seed = v });
+        ];
+  }
+
+(* A workload value with its table, and a table on its own (for
+   decoding, where only the kind tag is known). *)
+type packed = Packed : 'c table * 'c -> packed
+type any_table = Table : 'c table -> any_table
+
+let pack = function
+  | Longlived c -> Packed (longlived, c)
+  | Incast { config; sack } -> Packed (incast, (config, sack))
+  | Completion c -> Packed (completion, c)
+  | Dynamic c -> Packed (dynamic, c)
+  | Convergence c -> Packed (convergence, c)
+  | Deadline { config; d2tcp } -> Packed (deadline, (config, d2tcp))
+  | Fattree c -> Packed (fattree, c)
+
+let tables =
   [
-    ("n_flows", Json.Int c.n_flows);
-    ("bottleneck_rate_bps", Json.Float c.bottleneck_rate_bps);
-    ("rtt", span c.rtt);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("warmup", span c.warmup);
-    ("measure", span c.measure);
-    ("trace_sampling", span_opt c.trace_sampling);
-    ("alpha_sample_period", span c.alpha_sample_period);
-    ("stagger", span c.stagger);
-    ("min_rto", span c.min_rto);
-    ("seed", seed_json c.seed);
+    Table longlived;
+    Table incast;
+    Table completion;
+    Table dynamic;
+    Table convergence;
+    Table deadline;
+    Table fattree;
   ]
 
-let incast_fields (c : I.config) sack =
-  [
-    ("sack", Json.Bool sack);
-    ("n_flows", Json.Int c.n_flows);
-    ("bytes_per_flow", Json.Int c.bytes_per_flow);
-    ("repeats", Json.Int c.repeats);
-    ("rate_bps", Json.Float c.rate_bps);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("leaf_buffer_bytes", Json.Int c.leaf_buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("time_cap", span c.time_cap);
-    ("start_jitter", span c.start_jitter);
-    ("initial_cwnd", Json.Float c.initial_cwnd);
-    ("seed", seed_json c.seed);
-  ]
+let workload_name w = match pack w with Packed (tbl, _) -> tbl.kind
 
-let completion_fields (c : Cp.config) =
-  [
-    ("n_flows", Json.Int c.n_flows);
-    ("total_bytes", Json.Int c.total_bytes);
-    ("repeats", Json.Int c.repeats);
-    ("rate_bps", Json.Float c.rate_bps);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("leaf_buffer_bytes", Json.Int c.leaf_buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("time_cap", span c.time_cap);
-    ("seed", seed_json c.seed);
-  ]
+let rec seed_entry : type c. c field list -> (c -> int64) * (int64 -> c -> c)
+    = function
+  | Field (_, Seed, get, set) :: _ -> (get, set)
+  | _ :: rest -> seed_entry rest
+  | [] -> invalid_arg "Spec: a workload table has no seed field"
 
-let dynamic_fields (c : Dy.config) =
-  [
-    ("background_flows", Json.Int c.background_flows);
-    ("short_senders", Json.Int c.short_senders);
-    ("arrival_rate", Json.Float c.arrival_rate);
-    ("short_flow_segments", Json.Int c.short_flow_segments);
-    ("duration", span c.duration);
-    ("warmup", span c.warmup);
-    ("drain", span c.drain);
-    ("bottleneck_rate_bps", Json.Float c.bottleneck_rate_bps);
-    ("rtt", span c.rtt);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("seed", seed_json c.seed);
-  ]
+let seed t =
+  match pack t.workload with
+  | Packed (tbl, c) -> fst (seed_entry tbl.fields) c
 
-let convergence_fields (c : Cv.config) =
-  [
-    ("n_flows", Json.Int c.n_flows);
-    ("join_interval", span c.join_interval);
-    ("hold", span c.hold);
-    ("sample_window", span c.sample_window);
-    ("bottleneck_rate_bps", Json.Float c.bottleneck_rate_bps);
-    ("rtt", span c.rtt);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("convergence_band", Json.Float c.convergence_band);
-    ("seed", seed_json c.seed);
-  ]
+let with_seed seed t =
+  match pack t.workload with
+  | Packed (tbl, c) ->
+      { t with workload = tbl.wrap (snd (seed_entry tbl.fields) seed c) }
 
-let deadline_fields (c : De.config) d2tcp =
-  [
-    ("d2tcp", Json.Bool d2tcp);
-    ("n_flows", Json.Int c.n_flows);
-    ("bytes_per_flow", Json.Int c.bytes_per_flow);
-    ("deadline", span c.deadline);
-    ("deadline_spread", span c.deadline_spread);
-    ("repeats", Json.Int c.repeats);
-    ("rate_bps", Json.Float c.rate_bps);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("leaf_buffer_bytes", Json.Int c.leaf_buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("start_jitter", span c.start_jitter);
-    ("time_cap", span c.time_cap);
-    ("seed", seed_json c.seed);
-  ]
+let with_name name t = { t with name }
 
-let fattree_fields (c : Ft.config) =
-  [
-    ("k", Json.Int c.k);
-    ("incast_fanin", Json.Int c.incast_fanin);
-    ("incast_bytes", Json.Int c.incast_bytes);
-    ("long_flows", Json.Int c.long_flows);
-    ("long_bytes", Json.Int c.long_bytes);
-    ("rate_bps", Json.Float c.rate_bps);
-    ("link_delay", span c.link_delay);
-    ("queue_bytes", Json.Int c.queue_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("time_cap", span c.time_cap);
-    ("start_spread", span c.start_spread);
-    ("initial_cwnd", Json.Float c.initial_cwnd);
-    ("seed", seed_json c.seed);
-  ]
+(* --- JSON encoding --- *)
 
 let protocol_to_json p =
   let kind = ("kind", Json.String (protocol_name p)) in
@@ -247,18 +472,14 @@ let protocol_to_json p =
         ]
 
 let workload_to_json w =
-  let kind = ("kind", Json.String (workload_name w)) in
-  let fields =
-    match w with
-    | Longlived c -> longlived_fields c
-    | Incast { config; sack } -> incast_fields config sack
-    | Completion c -> completion_fields c
-    | Dynamic c -> dynamic_fields c
-    | Convergence c -> convergence_fields c
-    | Deadline { config; d2tcp } -> deadline_fields config d2tcp
-    | Fattree c -> fattree_fields c
-  in
-  Json.Obj (kind :: fields)
+  match pack w with
+  | Packed (tbl, c) ->
+      Json.Obj
+        (("kind", Json.String tbl.kind)
+        :: List.map
+             (fun (Field (key, kind, get, _)) ->
+               (key, encode_value kind (get c)))
+             tbl.fields)
 
 let buffer_to_json = function
   | Net.Buffer_mgr.Static -> None
@@ -292,56 +513,6 @@ let to_string t = Json.to_string (to_json t)
 
 (* --- JSON decoding --- *)
 
-let ( let* ) = Result.bind
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "Spec.of_json: missing field %S" name)
-
-let wrong name got =
-  Error (Printf.sprintf "Spec.of_json: field %S is not a %s" name got)
-
-let int_field name j =
-  let* v = field name j in
-  match v with Json.Int i -> Ok i | _ -> wrong name "int"
-
-let float_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> wrong name "number"
-
-let bool_field name j =
-  let* v = field name j in
-  match v with Json.Bool b -> Ok b | _ -> wrong name "bool"
-
-let string_field name j =
-  let* v = field name j in
-  match v with Json.String s -> Ok s | _ -> wrong name "string"
-
-let span_field name j =
-  let* i = int_field name j in
-  Ok (Int64.of_int i)
-
-let span_opt_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Null -> Ok None
-  | Json.Int i -> Ok (Some (Int64.of_int i))
-  | _ -> wrong name "int or null"
-
-let seed_field name j =
-  let* v = field name j in
-  match v with
-  | Json.String s -> (
-      match Int64.of_string_opt s with
-      | Some i -> Ok i
-      | None -> wrong name "decimal int64 string")
-  | Json.Int i -> Ok (Int64.of_int i)
-  | _ -> wrong name "seed"
-
 let protocol_of_json j =
   let* kind = string_field "kind" j in
   match kind with
@@ -370,239 +541,21 @@ let protocol_of_json j =
       Ok (Dt_dctcp_scaled { g; k1_frac; k2_frac })
   | other -> Error (Printf.sprintf "Spec.of_json: unknown protocol %S" other)
 
-let longlived_of_json j =
-  let* n_flows = int_field "n_flows" j in
-  let* bottleneck_rate_bps = float_field "bottleneck_rate_bps" j in
-  let* rtt = span_field "rtt" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* warmup = span_field "warmup" j in
-  let* measure = span_field "measure" j in
-  let* trace_sampling = span_opt_field "trace_sampling" j in
-  let* alpha_sample_period = span_field "alpha_sample_period" j in
-  let* stagger = span_field "stagger" j in
-  let* min_rto = span_field "min_rto" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Longlived
-       {
-         L.n_flows;
-         bottleneck_rate_bps;
-         rtt;
-         buffer_bytes;
-         segment_bytes;
-         warmup;
-         measure;
-         trace_sampling;
-         alpha_sample_period;
-         stagger;
-         min_rto;
-         seed;
-       })
-
-let incast_of_json j =
-  let* sack = bool_field "sack" j in
-  let* n_flows = int_field "n_flows" j in
-  let* bytes_per_flow = int_field "bytes_per_flow" j in
-  let* repeats = int_field "repeats" j in
-  let* rate_bps = float_field "rate_bps" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* leaf_buffer_bytes = int_field "leaf_buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* time_cap = span_field "time_cap" j in
-  let* start_jitter = span_field "start_jitter" j in
-  let* initial_cwnd = float_field "initial_cwnd" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Incast
-       {
-         config =
-           {
-             I.n_flows;
-             bytes_per_flow;
-             repeats;
-             rate_bps;
-             buffer_bytes;
-             leaf_buffer_bytes;
-             segment_bytes;
-             min_rto;
-             time_cap;
-             start_jitter;
-             initial_cwnd;
-             seed;
-           };
-         sack;
-       })
-
-let completion_of_json j =
-  let* n_flows = int_field "n_flows" j in
-  let* total_bytes = int_field "total_bytes" j in
-  let* repeats = int_field "repeats" j in
-  let* rate_bps = float_field "rate_bps" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* leaf_buffer_bytes = int_field "leaf_buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* time_cap = span_field "time_cap" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Completion
-       {
-         Cp.n_flows;
-         total_bytes;
-         repeats;
-         rate_bps;
-         buffer_bytes;
-         leaf_buffer_bytes;
-         segment_bytes;
-         min_rto;
-         time_cap;
-         seed;
-       })
-
-let dynamic_of_json j =
-  let* background_flows = int_field "background_flows" j in
-  let* short_senders = int_field "short_senders" j in
-  let* arrival_rate = float_field "arrival_rate" j in
-  let* short_flow_segments = int_field "short_flow_segments" j in
-  let* duration = span_field "duration" j in
-  let* warmup = span_field "warmup" j in
-  let* drain = span_field "drain" j in
-  let* bottleneck_rate_bps = float_field "bottleneck_rate_bps" j in
-  let* rtt = span_field "rtt" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Dynamic
-       {
-         Dy.background_flows;
-         short_senders;
-         arrival_rate;
-         short_flow_segments;
-         duration;
-         warmup;
-         drain;
-         bottleneck_rate_bps;
-         rtt;
-         buffer_bytes;
-         segment_bytes;
-         min_rto;
-         seed;
-       })
-
-let convergence_of_json j =
-  let* n_flows = int_field "n_flows" j in
-  let* join_interval = span_field "join_interval" j in
-  let* hold = span_field "hold" j in
-  let* sample_window = span_field "sample_window" j in
-  let* bottleneck_rate_bps = float_field "bottleneck_rate_bps" j in
-  let* rtt = span_field "rtt" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* convergence_band = float_field "convergence_band" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Convergence
-       {
-         Cv.n_flows;
-         join_interval;
-         hold;
-         sample_window;
-         bottleneck_rate_bps;
-         rtt;
-         buffer_bytes;
-         segment_bytes;
-         min_rto;
-         convergence_band;
-         seed;
-       })
-
-let deadline_of_json j =
-  let* d2tcp = bool_field "d2tcp" j in
-  let* n_flows = int_field "n_flows" j in
-  let* bytes_per_flow = int_field "bytes_per_flow" j in
-  let* deadline = span_field "deadline" j in
-  let* deadline_spread = span_field "deadline_spread" j in
-  let* repeats = int_field "repeats" j in
-  let* rate_bps = float_field "rate_bps" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* leaf_buffer_bytes = int_field "leaf_buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* start_jitter = span_field "start_jitter" j in
-  let* time_cap = span_field "time_cap" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Deadline
-       {
-         config =
-           {
-             De.n_flows;
-             bytes_per_flow;
-             deadline;
-             deadline_spread;
-             repeats;
-             rate_bps;
-             buffer_bytes;
-             leaf_buffer_bytes;
-             segment_bytes;
-             min_rto;
-             start_jitter;
-             time_cap;
-             seed;
-           };
-         d2tcp;
-       })
-
-let fattree_of_json j =
-  let* k = int_field "k" j in
-  let* incast_fanin = int_field "incast_fanin" j in
-  let* incast_bytes = int_field "incast_bytes" j in
-  let* long_flows = int_field "long_flows" j in
-  let* long_bytes = int_field "long_bytes" j in
-  let* rate_bps = float_field "rate_bps" j in
-  let* link_delay = span_field "link_delay" j in
-  let* queue_bytes = int_field "queue_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* time_cap = span_field "time_cap" j in
-  let* start_spread = span_field "start_spread" j in
-  let* initial_cwnd = float_field "initial_cwnd" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Fattree
-       {
-         Ft.k;
-         incast_fanin;
-         incast_bytes;
-         long_flows;
-         long_bytes;
-         rate_bps;
-         link_delay;
-         queue_bytes;
-         segment_bytes;
-         min_rto;
-         time_cap;
-         start_spread;
-         initial_cwnd;
-         seed;
-       })
-
 let workload_of_json j =
   let* kind = string_field "kind" j in
-  match kind with
-  | "longlived" -> longlived_of_json j
-  | "incast" -> incast_of_json j
-  | "completion" -> completion_of_json j
-  | "dynamic" -> dynamic_of_json j
-  | "convergence" -> convergence_of_json j
-  | "deadline" -> deadline_of_json j
-  | "fattree" -> fattree_of_json j
-  | other -> Error (Printf.sprintf "Spec.of_json: unknown workload %S" other)
+  let known (Table tbl) = String.equal tbl.kind kind in
+  match List.find_opt known tables with
+  | Some (Table tbl) ->
+      let* c =
+        List.fold_left
+          (fun acc (Field (key, kind, _, set)) ->
+            let* c = acc in
+            let* v = decode_value kind key j in
+            Ok (set v c))
+          (Ok tbl.default) tbl.fields
+      in
+      Ok (tbl.wrap c)
+  | None -> Error (Printf.sprintf "Spec.of_json: unknown workload %S" kind)
 
 let buffer_of_json j =
   let* pool_bytes = int_field "pool_bytes" j in

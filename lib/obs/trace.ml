@@ -336,61 +336,6 @@ let record_of_json j =
   in
   Ok { time = Time.of_ns (Int64.of_int t_ns); component; event }
 
-let csv_header = "time_ns,event,component,flow,occ_bytes,occ_pkts,detail"
-
-let record_to_csv r =
-  let flow, occ_bytes, occ_pkts, detail =
-    match r.event with
-    | Enqueue { flow; occ_bytes; occ_pkts }
-    | Dequeue { flow; occ_bytes; occ_pkts }
-    | Mark { flow; occ_bytes; occ_pkts } ->
-        (Some flow, Some occ_bytes, Some occ_pkts, "")
-    | Drop { flow; occ_bytes } -> (Some flow, Some occ_bytes, None, "")
-    | Mark_state_flip { marking; occ_bytes } ->
-        ( None,
-          Some occ_bytes,
-          None,
-          Printf.sprintf "marking=%d" (if marking then 1 else 0) )
-    | Cwnd_cut { flow; cwnd_before; cwnd_after; alpha } ->
-        ( Some flow,
-          None,
-          None,
-          Printf.sprintf "cwnd_before=%g;cwnd_after=%g;alpha=%g" cwnd_before
-            cwnd_after alpha )
-    | Fast_retransmit { flow; snd_una } ->
-        (Some flow, None, None, Printf.sprintf "snd_una=%d" snd_una)
-    | Rto { flow; snd_una; timeouts } ->
-        ( Some flow,
-          None,
-          None,
-          Printf.sprintf "snd_una=%d;timeouts=%d" snd_una timeouts )
-    | Flow_start { flow } -> (Some flow, None, None, "")
-    | Flow_done { flow; segments } ->
-        (Some flow, None, None, Printf.sprintf "segments=%d" segments)
-    | Link_down { occ_bytes } | Link_up { occ_bytes } ->
-        (None, Some occ_bytes, None, "")
-    | Pkt_lost { flow; size } ->
-        (Some flow, None, None, Printf.sprintf "size=%d" size)
-    | Mark_suppressed { occ_bytes; occ_pkts } ->
-        (None, Some occ_bytes, Some occ_pkts, "")
-    | Rate_changed { rate_bps } ->
-        (None, None, None, Printf.sprintf "rate_bps=%g" rate_bps)
-    | Pool_reject { flow; occ_bytes; pool_used; limit_bytes } ->
-        ( Some flow,
-          Some occ_bytes,
-          None,
-          Printf.sprintf "pool_used=%d;limit_bytes=%d" pool_used limit_bytes )
-    | Pool_high_water { pool_used } ->
-        (None, None, None, Printf.sprintf "pool_used=%d" pool_used)
-    | No_route_drop { flow; dst } ->
-        (Some flow, None, None, Printf.sprintf "dst=%d" dst)
-  in
-  let opt = function Some v -> string_of_int v | None -> "" in
-  Printf.sprintf "%Ld,%s,%s,%s,%s,%s,%s"
-    (Time.to_ns r.time)
-    (cls_name (cls_of_event r.event))
-    r.component (opt flow) (opt occ_bytes) (opt occ_pkts) detail
-
 (* --- ring buffer --- *)
 
 let dummy_record =
@@ -432,7 +377,6 @@ let ring_records r =
 type sink =
   | Null
   | Ring of ring
-  | Csv of out_channel
   | Jsonl of out_channel
   | Fn of (record -> unit)
 
@@ -443,11 +387,6 @@ let mask_of = List.fold_left (fun m c -> m lor (1 lsl cls_index c)) 0
 let null = { mask = 0; sink = Null }
 
 let create ?classes sink =
-  (match sink with
-  | Csv oc ->
-      output_string oc csv_header;
-      output_char oc '\n'
-  | Null | Ring _ | Jsonl _ | Fn _ -> ());
   let mask =
     match classes with None -> full_mask | Some cs -> mask_of cs
   in
@@ -466,9 +405,6 @@ let dispatch sink r =
   match sink with
   | Null -> ()
   | Ring ring -> ring_push ring r
-  | Csv oc ->
-      output_string oc (record_to_csv r);
-      output_char oc '\n'
   | Jsonl oc ->
       Json.write oc (record_to_json r);
       output_char oc '\n'

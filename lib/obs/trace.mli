@@ -92,8 +92,8 @@ val all_classes : cls list
 val cls_of_event : event -> cls
 
 val cls_name : cls -> string
-(** Stable lowercase identifier, e.g. ["mark_state_flip"]; used in JSON,
-    CSV, and the [--trace-events] CLI flag. *)
+(** Stable lowercase identifier, e.g. ["mark_state_flip"]; used in JSON
+    and the [--trace-events] CLI flag. *)
 
 val cls_of_name : string -> cls option
 (** Inverse of {!cls_name}; trims and lowercases first. *)
@@ -120,7 +120,6 @@ val ring_records : ring -> record list
 type sink =
   | Null
   | Ring of ring
-  | Csv of out_channel  (** One header line, then one CSV row per record. *)
   | Jsonl of out_channel  (** One JSON object per line. *)
   | Fn of (record -> unit)
 
@@ -131,8 +130,7 @@ val null : t
     default argument everywhere. *)
 
 val create : ?classes:cls list -> sink -> t
-(** New tracer accepting [classes] (default: all). A [Csv] sink gets its
-    header line written immediately. *)
+(** New tracer accepting [classes] (default: all). *)
 
 val enabled : t -> cls -> bool
 val set_classes : t -> cls list -> unit
@@ -157,12 +155,6 @@ val tee : t -> t -> t
     records. *)
 
 (** {1 Serialization} *)
-
-val csv_header : string
-
-val record_to_csv : record -> string
-(** One row matching {!csv_header}; event-specific extras go in the
-    [detail] column as [k=v;k=v]. *)
 
 val record_to_json : record -> Json.t
 (** Object with [t_ns], [event], [component], plus per-event fields. *)

@@ -43,27 +43,17 @@ let run ?faults ?(buffer = Net.Buffer_mgr.Static) (proto : Dctcp.Protocol.t)
   Workload.require_positive ~scenario:"Convergence" ~what:"flows"
     config.n_flows;
   let sim = Sim.create ~seed:config.seed () in
-  let injector =
-    Option.map
-      (fun plan ->
-        Fault.Injector.create sim ~plan ~seed:config.seed
-          ~component:"bottleneck" ())
-      faults
-  in
-  let marking =
-    let m = proto.Dctcp.Protocol.marking () in
-    match injector with
-    | None -> m
-    | Some inj -> Fault.Injector.wrap_marking inj m
+  let marking, attach =
+    Workload.inject_faults sim ?faults ~seed:config.seed
+      ~component:"bottleneck"
+      (proto.Dctcp.Protocol.marking ())
   in
   let net =
     Net.Topology.dumbbell sim ~n_senders:config.n_flows
       ~bottleneck_rate_bps:config.bottleneck_rate_bps ~rtt:config.rtt
       ~buffer_bytes:config.buffer_bytes ~buffer ~marking ()
   in
-  (match injector with
-  | None -> ()
-  | Some inj -> Fault.Injector.attach inj ~port:net.Net.Topology.bottleneck);
+  attach net.Net.Topology.bottleneck;
   let tcp_config =
     {
       Tcp.Sender.default_config with

@@ -51,32 +51,25 @@ type flow_outcome = { met : bool; completion_s : float; finished : bool }
 
 let one_repeat ~marking ~echo ?faults ~buffer kind config ~seed =
   let sim = Sim.create ~seed () in
-  (* One injector per repeat, seeded from the repeat seed (the Incast
-     discipline); no plan means no injector and a bit-identical run. *)
-  let injector =
-    Option.map
-      (fun plan ->
-        Fault.Injector.create sim ~plan ~seed ~component:"star_bottleneck" ())
-      faults
+  let rng = Sim.rng sim in
+  (* Each flow's start, then its deadline, per flow in order. *)
+  let plan =
+    Array.init config.n_flows (fun _ ->
+        let start =
+          Time.of_ns (Engine.Rng.jitter_span rng ~max:config.start_jitter)
+        in
+        ( start,
+          Time.add
+            (Time.add start config.deadline)
+            (Engine.Rng.jitter_span rng ~max:config.deadline_spread) ))
   in
-  let marking =
-    let m = marking () in
-    match injector with
-    | None -> m
-    | Some inj -> Fault.Injector.wrap_marking inj m
-  in
-  let star =
-    Net.Topology.star_testbed sim ~rate_bps:config.rate_bps
-      ~bottleneck_buffer:config.buffer_bytes
-      ~leaf_buffer:config.leaf_buffer_bytes ~buffer ~marking ()
-  in
-  (match injector with
-  | None -> ()
-  | Some inj ->
-      Fault.Injector.attach inj ~port:star.Net.Topology.star_bottleneck);
-  let workers = star.Net.Topology.workers in
   let segments =
     (config.bytes_per_flow + config.segment_bytes - 1) / config.segment_bytes
+  in
+  let cc deadline =
+    match kind with
+    | Plain f -> f
+    | Deadline_aware mk -> mk ~total_segments:segments ~deadline
   in
   let tcp_config =
     {
@@ -85,38 +78,16 @@ let one_repeat ~marking ~echo ?faults ~buffer kind config ~seed =
       min_rto = config.min_rto;
     }
   in
-  let rng = Sim.rng sim in
-  let remaining = ref config.n_flows in
   let flows =
-    Array.init config.n_flows (fun i ->
-        let src = workers.(i mod Array.length workers) in
-        let start =
-          Time.of_ns (Engine.Rng.jitter_span rng ~max:config.start_jitter)
-        in
-        let deadline =
-          Time.add
-            (Time.add start config.deadline)
-            (Engine.Rng.jitter_span rng ~max:config.deadline_spread)
-        in
-        let cc =
-          match kind with
-          | Plain f -> f
-          | Deadline_aware mk -> mk ~total_segments:segments ~deadline
-        in
-        let flow =
-          Tcp.Flow.create sim ~src ~dst:star.Net.Topology.aggregator ~flow:i
-            ~cc ~config:tcp_config ?echo ~limit_segments:segments
-            ~on_complete:(fun _ -> decr remaining)
-            ()
-        in
-        Tcp.Flow.start_at flow start;
-        (flow, start, deadline))
+    Incast.star_repeat sim ?faults ~seed ~buffer ~marking:(marking ()) ?echo
+      ~tcp_config ~rate_bps:config.rate_bps ~buffer_bytes:config.buffer_bytes
+      ~leaf_buffer_bytes:config.leaf_buffer_bytes ~segments
+      ~time_cap:config.time_cap
+      (Array.map (fun (start, deadline) -> (start, cc deadline)) plan)
   in
-  let cap = Time.of_ns config.time_cap in
-  Workload.run_slices sim ~cap ~pending:(fun () -> !remaining > 0);
   let outcomes =
-    Array.map
-      (fun (flow, start, deadline) ->
+    Array.map2
+      (fun flow (start, deadline) ->
         match Tcp.Flow.completion_time flow with
         | Some t ->
             {
@@ -130,15 +101,9 @@ let one_repeat ~marking ~echo ?faults ~buffer kind config ~seed =
               completion_s = Time.span_to_sec config.time_cap;
               finished = false;
             })
-      flows
+      flows plan
   in
-  let timeouts =
-    Array.fold_left
-      (fun acc (flow, _, _) ->
-        acc + Tcp.Sender.timeouts (Tcp.Flow.sender flow))
-      0 flows
-  in
-  (outcomes, timeouts)
+  (outcomes, Workload.timeouts flows)
 
 let run ~marking ?echo ?faults ?(buffer = Net.Buffer_mgr.Static) kind config =
   Workload.require_positive ~scenario:"Deadline" ~what:"flows" config.n_flows;

@@ -55,29 +55,17 @@ let run ?faults ?(buffer = Net.Buffer_mgr.Static) (proto : Dctcp.Protocol.t)
   if config.arrival_rate <= 0. then invalid_arg "Dynamic.run: need arrivals";
   let sim = Sim.create ~seed:config.seed () in
   let n_hosts = config.background_flows + config.short_senders in
-  (* Same injector discipline as Longlived: no plan, no injector, and the
-     run is event-for-event the pre-fault one. *)
-  let injector =
-    Option.map
-      (fun plan ->
-        Fault.Injector.create sim ~plan ~seed:config.seed
-          ~component:"bottleneck" ())
-      faults
-  in
-  let marking =
-    let m = proto.Dctcp.Protocol.marking () in
-    match injector with
-    | None -> m
-    | Some inj -> Fault.Injector.wrap_marking inj m
+  let marking, attach =
+    Workload.inject_faults sim ?faults ~seed:config.seed
+      ~component:"bottleneck"
+      (proto.Dctcp.Protocol.marking ())
   in
   let net =
     Net.Topology.dumbbell sim ~n_senders:n_hosts
       ~bottleneck_rate_bps:config.bottleneck_rate_bps ~rtt:config.rtt
       ~buffer_bytes:config.buffer_bytes ~buffer ~marking ()
   in
-  (match injector with
-  | None -> ()
-  | Some inj -> Fault.Injector.attach inj ~port:net.Net.Topology.bottleneck);
+  attach net.Net.Topology.bottleneck;
   let tcp_config =
     {
       Tcp.Sender.default_config with

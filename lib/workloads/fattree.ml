@@ -163,10 +163,7 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static) ?on_sim
       Obs.Metrics.probe m "switch.no_route_drops" (fun () ->
           float_of_int (total_no_route ft));
       Obs.Metrics.probe m "sender.timeouts" (fun () ->
-          float_of_int
-            (Array.fold_left
-               (fun a f -> a + Tcp.Sender.timeouts (Tcp.Flow.sender f))
-               0 flows)));
+          float_of_int (Workload.timeouts flows)));
   let starts = Array.make total Time.zero in
   Array.iteri
     (fun i f ->
@@ -189,11 +186,7 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static) ?on_sim
         Stats.Fct.slowdown ~ideal_ns ~actual_ns)
   in
   let s = Stats.Fct.summarize slowdowns in
-  let timeouts =
-    Array.fold_left
-      (fun acc f -> acc + Tcp.Sender.timeouts (Tcp.Flow.sender f))
-      0 flows
-  in
+  let timeouts = Workload.timeouts flows in
   let incomplete =
     Array.fold_left (fun acc f -> if f then acc else acc + 1) 0 finished
   in

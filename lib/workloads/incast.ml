@@ -48,35 +48,44 @@ type run_outcome = {
   finished : bool;
 }
 
-let one_repeat ?(sack = false) ?faults ~buffer (proto : Dctcp.Protocol.t)
-    config ~seed =
-  let sim = Sim.create ~seed () in
-  (* One injector per repeat, derived from the repeat seed, so each
-     repeat sees an independent but reproducible fault realization. *)
-  let injector =
-    Option.map
-      (fun plan ->
-        Fault.Injector.create sim ~plan ~seed ~component:"star_bottleneck" ())
-      faults
-  in
-  let marking =
-    let m = proto.Dctcp.Protocol.marking () in
-    match injector with
-    | None -> m
-    | Some inj -> Fault.Injector.wrap_marking inj m
+let star_repeat sim ?faults ~seed ~buffer ~marking ?echo ~tcp_config
+    ~rate_bps ~buffer_bytes ~leaf_buffer_bytes ~segments ~time_cap flows =
+  let marking, attach =
+    Workload.inject_faults sim ?faults ~seed ~component:"star_bottleneck"
+      marking
   in
   let star =
-    Net.Topology.star_testbed sim ~rate_bps:config.rate_bps
-      ~bottleneck_buffer:config.buffer_bytes
-      ~leaf_buffer:config.leaf_buffer_bytes ~buffer ~marking ()
+    Net.Topology.star_testbed sim ~rate_bps ~bottleneck_buffer:buffer_bytes
+      ~leaf_buffer:leaf_buffer_bytes ~buffer ~marking ()
   in
-  (match injector with
-  | None -> ()
-  | Some inj ->
-      Fault.Injector.attach inj ~port:star.Net.Topology.star_bottleneck);
+  attach star.Net.Topology.star_bottleneck;
   let workers = star.Net.Topology.workers in
-  let segments =
-    (config.bytes_per_flow + config.segment_bytes - 1) / config.segment_bytes
+  let remaining = ref (Array.length flows) in
+  let flows =
+    Array.mapi
+      (fun i (start, cc) ->
+        let src = workers.(i mod Array.length workers) in
+        let flow =
+          Tcp.Flow.create sim ~src ~dst:star.Net.Topology.aggregator ~flow:i
+            ~cc ~config:tcp_config ?echo ~limit_segments:segments
+            ~on_complete:(fun _ -> decr remaining)
+            ()
+        in
+        Tcp.Flow.start_at flow start;
+        flow)
+      flows
+  in
+  Workload.run_slices sim ~cap:(Time.of_ns time_cap) ~pending:(fun () ->
+      !remaining > 0);
+  flows
+
+let one_repeat ~sack ?faults ~buffer (proto : Dctcp.Protocol.t) config ~seed =
+  let sim = Sim.create ~seed () in
+  let rng = Sim.rng sim in
+  let flows =
+    Array.init config.n_flows (fun _ ->
+        ( Time.of_ns (Engine.Rng.jitter_span rng ~max:config.start_jitter),
+          proto.Dctcp.Protocol.cc ))
   in
   let tcp_config =
     {
@@ -87,38 +96,33 @@ let one_repeat ?(sack = false) ?faults ~buffer (proto : Dctcp.Protocol.t)
       sack;
     }
   in
-  let remaining = ref config.n_flows in
-  let last_done = ref Time.zero in
+  (* One injector per repeat, derived from the repeat seed, so each
+     repeat sees an independent but reproducible fault realization. *)
   let flows =
-    Array.init config.n_flows (fun i ->
-        let src = workers.(i mod Array.length workers) in
-        Tcp.Flow.create sim ~src ~dst:star.Net.Topology.aggregator ~flow:i
-          ~cc:proto.Dctcp.Protocol.cc ~config:tcp_config
-          ~echo:proto.Dctcp.Protocol.echo ~limit_segments:segments
-          ~on_complete:(fun _ ->
-            decr remaining;
-            last_done := Sim.now sim)
-          ())
+    star_repeat sim ?faults ~seed ~buffer
+      ~marking:(proto.Dctcp.Protocol.marking ())
+      ~echo:proto.Dctcp.Protocol.echo ~tcp_config ~rate_bps:config.rate_bps
+      ~buffer_bytes:config.buffer_bytes
+      ~leaf_buffer_bytes:config.leaf_buffer_bytes
+      ~segments:
+        ((config.bytes_per_flow + config.segment_bytes - 1)
+        / config.segment_bytes)
+      ~time_cap:config.time_cap flows
   in
-  let rng = Sim.rng sim in
-  Array.iter
-    (fun f ->
-      let offset = Engine.Rng.jitter_span rng ~max:config.start_jitter in
-      Tcp.Flow.start_at f (Time.of_ns offset))
-    flows;
-  let cap = Time.of_ns config.time_cap in
-  Workload.run_slices sim ~cap ~pending:(fun () -> !remaining > 0);
-  let run_timeouts =
+  let finished = Array.for_all Tcp.Flow.completed flows in
+  let last_done =
     Array.fold_left
-      (fun acc f -> acc + Tcp.Sender.timeouts (Tcp.Flow.sender f))
-      0 flows
+      (fun acc f ->
+        match Tcp.Flow.completion_time f with
+        | Some t -> Time.max acc t
+        | None -> acc)
+      Time.zero flows
   in
-  let finished = !remaining = 0 in
   {
     completion_s =
-      (if finished then Time.to_sec !last_done
+      (if finished then Time.to_sec last_done
        else Time.span_to_sec config.time_cap);
-    run_timeouts;
+    run_timeouts = Workload.timeouts flows;
     finished;
   }
 

@@ -64,3 +64,30 @@ val run_with_sack :
 val goodput_of_completion : config -> float -> float
 (** [goodput_of_completion cfg t] is the goodput implied by finishing all
     responses in [t] seconds. *)
+
+val star_repeat :
+  Engine.Sim.t ->
+  ?faults:Fault.Plan.t ->
+  seed:int64 ->
+  buffer:Net.Buffer_mgr.config ->
+  marking:Net.Marking.t ->
+  ?echo:Tcp.Receiver.echo_policy ->
+  tcp_config:Tcp.Sender.config ->
+  rate_bps:float ->
+  buffer_bytes:int ->
+  leaf_buffer_bytes:int ->
+  segments:int ->
+  time_cap:Engine.Time.span ->
+  (Engine.Time.t * Tcp.Cc.factory) array ->
+  Tcp.Flow.t array
+(** One fan-in repeat on a fresh star in [sim] — the per-repeat builder
+    of both {!run} and {!Deadline.run}. Flow [i] runs from worker [i]
+    (round-robin over the star's workers) to the aggregator, carries
+    [segments] segments, uses the [i]th (start, CC factory) pair, and is
+    started at that instant.
+    The pairs are drawn by the caller before the call (creating a flow
+    neither schedules nor draws, so any draw order the caller keeps is
+    the run's). [marking] is the bottleneck's policy; [faults], seeded
+    from [seed], go through {!Workload.inject_faults} on the
+    root-to-aggregator bottleneck. Runs until every flow completes or
+    [time_cap] is reached and returns the flows in input order. *)

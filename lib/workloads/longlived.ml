@@ -53,16 +53,6 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
   Workload.require_positive ~scenario:"Longlived" ~what:"flows" config.n_flows;
   let sim = Sim.create ~seed:config.seed () in
   (match on_sim with None -> () | Some f -> f sim);
-  (* With no plan the injector is never constructed: the run is
-     event-for-event the one this workload produced before fault
-     injection existed. *)
-  let injector =
-    Option.map
-      (fun plan ->
-        Fault.Injector.create sim ~plan ~seed:config.seed ~tracer ?metrics
-          ~component:"bottleneck" ())
-      faults
-  in
   (* The hysteresis flip observer: the policy lives inside the marking
      closure, so the run — which has both the sim and the tracer in
      scope — is the place to build it. *)
@@ -77,20 +67,17 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
           event = Obs.Trace.Mark_state_flip { marking; occ_bytes };
         }
   in
-  let marking =
-    let m = proto.Dctcp.Protocol.marking ~on_flip () in
-    match injector with
-    | None -> m
-    | Some inj -> Fault.Injector.wrap_marking inj m
+  let marking, attach =
+    Workload.inject_faults sim ?faults ~seed:config.seed ~tracer ?metrics
+      ~component:"bottleneck"
+      (proto.Dctcp.Protocol.marking ~on_flip ())
   in
   let net =
     Net.Topology.dumbbell sim ~n_senders:config.n_flows
       ~bottleneck_rate_bps:config.bottleneck_rate_bps ~rtt:config.rtt
       ~buffer_bytes:config.buffer_bytes ~buffer ~marking ~tracer ?metrics ()
   in
-  (match injector with
-  | None -> ()
-  | Some inj -> Fault.Injector.attach inj ~port:net.Net.Topology.bottleneck);
+  attach net.Net.Topology.bottleneck;
   let tcp_config =
     {
       Tcp.Sender.default_config with
@@ -205,10 +192,7 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
     utilization = throughput_bps /. config.bottleneck_rate_bps;
     marked_fraction;
     drops = Net.Queue_disc.drops bqueue;
-    timeouts =
-      Array.fold_left
-        (fun acc f -> acc + Tcp.Sender.timeouts (Tcp.Flow.sender f))
-        0 flows;
+    timeouts = Workload.timeouts flows;
     fast_retransmits =
       Array.fold_left
         (fun acc f -> acc + Tcp.Sender.fast_retransmits (Tcp.Flow.sender f))

@@ -1,21 +1,26 @@
 module Sim = Engine.Sim
 module Time = Engine.Time
 
-module type S = sig
-  type config
-
-  type result
-
-  val default_config : config
-
-  val run : Dctcp.Protocol.t -> config -> result
-end
-
 let require_positive ~scenario ~what n =
   if n <= 0 then
     invalid_arg (Printf.sprintf "%s.run: need %s (got %d)" scenario what n)
 
 let repeat_seed ~base ~stride r = Int64.add base (Int64.of_int (r * stride))
+
+let inject_faults sim ?faults ~seed ?tracer ?metrics ~component marking =
+  match faults with
+  | None -> (marking, fun _ -> ())
+  | Some plan ->
+      let inj =
+        Fault.Injector.create sim ~plan ~seed ?tracer ?metrics ~component ()
+      in
+      ( Fault.Injector.wrap_marking inj marking,
+        fun port -> Fault.Injector.attach inj ~port )
+
+let timeouts flows =
+  Array.fold_left
+    (fun acc f -> acc + Tcp.Sender.timeouts (Tcp.Flow.sender f))
+    0 flows
 
 let default_slice = Time.span_of_ms 5.
 

@@ -1,22 +1,10 @@
-(** The common shape of a scenario runner, plus helpers shared by the
-    concrete workloads.
+(** Helpers shared by the concrete workloads.
 
     Every workload module pairs a plain-record [config] (with a complete
-    [default_config], so call sites override only what they vary) with a
-    plain-record [result], and exposes [run] taking the protocol bundle
-    under test. [Exp.Spec] relies on this uniformity to describe any
-    scenario declaratively; the conformance of each concrete workload is
-    asserted in [test/test_workloads.ml]. *)
-
-module type S = sig
-  type config
-
-  type result
-
-  val default_config : config
-
-  val run : Dctcp.Protocol.t -> config -> result
-end
+    [default_config], so call sites override only what they vary; it is
+    also the record {!Exp.Spec}'s decoder fills in) with a plain-record
+    [result], and exposes a [run] taking the protocol bundle under
+    test. *)
 
 val require_positive : scenario:string -> what:string -> int -> unit
 (** [require_positive ~scenario ~what n] rejects non-positive scenario
@@ -27,6 +15,26 @@ val repeat_seed : base:int64 -> stride:int -> int -> int64
 (** Seed for repeat [r] of a multi-repeat workload: [base + r * stride].
     Strides are distinct per workload so repeats never share an RNG
     stream across workload families. *)
+
+val inject_faults :
+  Engine.Sim.t ->
+  ?faults:Fault.Plan.t ->
+  seed:int64 ->
+  ?tracer:Obs.Trace.t ->
+  ?metrics:Obs.Metrics.t ->
+  component:string ->
+  Net.Marking.t ->
+  Net.Marking.t * (Net.Port.t -> unit)
+(** [inject_faults sim ?faults ~seed ~component marking] is the marking
+    policy to install at the bottleneck and the function to call on the
+    bottleneck port once the topology is built. With a plan, both go
+    through one {!Fault.Injector} seeded from [seed]; without one no
+    injector is constructed, the marking is returned unchanged and the
+    port function does nothing, so the run is event-for-event the one
+    a build without fault injection produces. *)
+
+val timeouts : Tcp.Flow.t array -> int
+(** Retransmission timeouts summed over the flows' senders. *)
 
 val run_slices :
   ?slice:Engine.Time.span ->

@@ -276,6 +276,312 @@ let prop_json_roundtrip =
           Spec.equal s s' && Json.equal (Spec.to_json s) (Spec.to_json s')
       | Error e -> QCheck.Test.fail_reportf "of_string: %s" e)
 
+(* One workload of each kind with every config field off its default, as
+   full record literals (no [with]), so a new config field cannot be left
+   out here without a compile error. *)
+let distinct_workloads =
+  [
+    Spec.Longlived
+      {
+        Workloads.Longlived.n_flows = 3;
+        bottleneck_rate_bps = 2.5e9;
+        rtt = 123_457L;
+        buffer_bytes = 77_777;
+        segment_bytes = 1_499;
+        warmup = 1_000_001L;
+        measure = 2_000_003L;
+        trace_sampling = Some 50_001L;
+        alpha_sample_period = 999_999L;
+        stagger = 12_345L;
+        min_rto = 7_000_001L;
+        seed = 42L;
+      };
+    Spec.Incast
+      {
+        config =
+          {
+            Workloads.Incast.n_flows = 5;
+            bytes_per_flow = 40_001;
+            repeats = 3;
+            rate_bps = 2.5e8;
+            buffer_bytes = 99_999;
+            leaf_buffer_bytes = 300_001;
+            segment_bytes = 1_499;
+            min_rto = 7_000_001L;
+            time_cap = 3_000_000_001L;
+            start_jitter = 100_001L;
+            initial_cwnd = 3.5;
+            seed = 43L;
+          };
+        sack = true;
+      };
+    Spec.Completion
+      {
+        Workloads.Completion.n_flows = 6;
+        total_bytes = 500_001;
+        repeats = 4;
+        rate_bps = 2.5e8;
+        buffer_bytes = 99_999;
+        leaf_buffer_bytes = 300_001;
+        segment_bytes = 1_499;
+        min_rto = 7_000_001L;
+        time_cap = 3_000_000_001L;
+        seed = 44L;
+      };
+    Spec.Dynamic
+      {
+        Workloads.Dynamic.background_flows = 3;
+        short_senders = 5;
+        arrival_rate = 1234.5;
+        short_flow_segments = 7;
+        duration = 30_000_001L;
+        warmup = 1_000_001L;
+        drain = 2_000_003L;
+        bottleneck_rate_bps = 2.5e9;
+        rtt = 123_457L;
+        buffer_bytes = 77_777;
+        segment_bytes = 1_499;
+        min_rto = 7_000_001L;
+        seed = 45L;
+      };
+    Spec.Convergence
+      {
+        Workloads.Convergence.n_flows = 3;
+        join_interval = 30_000_001L;
+        hold = 40_000_001L;
+        sample_window = 900_001L;
+        bottleneck_rate_bps = 2.5e9;
+        rtt = 123_457L;
+        buffer_bytes = 77_777;
+        segment_bytes = 1_499;
+        min_rto = 7_000_001L;
+        convergence_band = 0.125;
+        seed = 46L;
+      };
+    Spec.Deadline
+      {
+        config =
+          {
+            Workloads.Deadline.n_flows = 5;
+            bytes_per_flow = 40_001;
+            deadline = 15_000_001L;
+            deadline_spread = 5_000_001L;
+            repeats = 3;
+            rate_bps = 2.5e8;
+            buffer_bytes = 99_999;
+            leaf_buffer_bytes = 300_001;
+            segment_bytes = 1_499;
+            min_rto = 7_000_001L;
+            start_jitter = 100_001L;
+            time_cap = 3_000_000_001L;
+            seed = 47L;
+          };
+        d2tcp = true;
+      };
+    Spec.Fattree
+      {
+        Workloads.Fattree.k = 6;
+        incast_fanin = 3;
+        incast_bytes = 20_001;
+        long_flows = 5;
+        long_bytes = 900_001;
+        rate_bps = 2.5e9;
+        link_delay = 3_001L;
+        queue_bytes = 77_777;
+        segment_bytes = 1_499;
+        min_rto = 7_000_001L;
+        time_cap = 3_000_000_001L;
+        start_spread = 100_001L;
+        initial_cwnd = 3.5;
+        seed = 48L;
+      };
+  ]
+
+let spec_of_workload workload =
+  Spec.make ~name:"distinct" ~protocol:Spec.Reno ~workload ()
+
+let default_workload = function
+  | Spec.Longlived _ -> Spec.Longlived Workloads.Longlived.default_config
+  | Spec.Incast _ ->
+      Spec.Incast { config = Workloads.Incast.default_config; sack = false }
+  | Spec.Completion _ -> Spec.Completion Workloads.Completion.default_config
+  | Spec.Dynamic _ -> Spec.Dynamic Workloads.Dynamic.default_config
+  | Spec.Convergence _ ->
+      Spec.Convergence Workloads.Convergence.default_config
+  | Spec.Deadline _ ->
+      Spec.Deadline { config = Workloads.Deadline.default_config; d2tcp = false }
+  | Spec.Fattree _ -> Spec.Fattree Workloads.Fattree.default_config
+
+let workload_fields w =
+  match Json.member "workload" (Spec.to_json (spec_of_workload w)) with
+  | Some (Json.Obj fields) -> fields
+  | _ -> Alcotest.fail "spec JSON has no workload object"
+
+(* A field missing from Spec's table is missing from both its encoder and
+   its decoder, so a JSON round-trip (compared through [Spec.to_json])
+   cannot see it. Decode instead and compare the config records
+   themselves: with every field off its default, a field the decoder
+   does not set comes back as the default and differs. *)
+let test_every_field_in_table () =
+  List.iter
+    (fun w ->
+      let kind = Spec.workload_name w in
+      (* Every key the table does write must really be off its default,
+         or the comparison below could not catch that field. *)
+      List.iter2
+        (fun (k, v) (k', v0) ->
+          Alcotest.(check string) (kind ^ " key order") k k';
+          if (not (String.equal k "kind")) && Json.equal v v0 then
+            Alcotest.fail (kind ^ "." ^ k ^ " is at its default"))
+        (workload_fields w)
+        (workload_fields (default_workload w));
+      match Spec.of_json (Spec.to_json (spec_of_workload w)) with
+      | Ok s ->
+          if not (s.Spec.workload = w) then
+            Alcotest.failf
+              "%s: decoded config differs from the original, so a config \
+               field is missing from its table"
+              kind
+      | Error e -> Alcotest.fail e)
+    distinct_workloads
+
+let test_seed_every_workload () =
+  List.iter
+    (fun w ->
+      let s = spec_of_workload w in
+      let kind = Spec.workload_name w in
+      let s' = Spec.with_seed 7L s in
+      Alcotest.(check int64) (kind ^ " with_seed") 7L (Spec.seed s');
+      Alcotest.(check bool)
+        (kind ^ " with_seed (seed s) s = s")
+        true
+        (Spec.equal s (Spec.with_seed (Spec.seed s) s));
+      List.iter2
+        (fun (k, v) (_, v') ->
+          Alcotest.(check bool)
+            (kind ^ "." ^ k ^ " changed iff it is the seed")
+            (String.equal k "seed")
+            (not (Json.equal v v')))
+        (workload_fields s.Spec.workload)
+        (workload_fields s'.Spec.workload))
+    distinct_workloads
+
+(* --- parser fuzzing ------------------------------------------------------ *)
+
+let hostile =
+  Json.
+    [
+      Null;
+      Int (-1);
+      Int max_int;
+      Float Float.nan;
+      String "x";
+      Bool true;
+      List [];
+      Obj [];
+    ]
+
+(* Every single mutation of [j]: each object member dropped, and each
+   member value or list element replaced by each hostile value (or,
+   recursively, mutated itself). *)
+let rec mutations j =
+  let replace_nth xs i x = List.mapi (fun i' y -> if i' = i then x else y) xs in
+  match j with
+  | Json.Obj fields ->
+      List.concat
+        (List.mapi
+           (fun i (k, v) ->
+             Json.Obj (List.filteri (fun i' _ -> i' <> i) fields)
+             :: List.map
+                  (fun v' -> Json.Obj (replace_nth fields i (k, v')))
+                  (hostile @ mutations v))
+           fields)
+  | Json.List items ->
+      List.concat
+        (List.mapi
+           (fun i v ->
+             List.map
+               (fun v' -> Json.List (replace_nth items i v'))
+               (hostile @ mutations v))
+           items)
+  | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.String _ -> []
+
+(* The registry's spec JSON, one per distinct shape: the JSON with every
+   leaf value erased except the "kind" tags. *)
+let registry_shapes =
+  lazy
+    (let rec shape = function
+       | Json.Obj fields ->
+           Json.Obj
+             (List.map
+                (fun (k, v) -> (k, if String.equal k "kind" then v else shape v))
+                fields)
+       | Json.List items -> Json.List (List.map shape items)
+       | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.String _ ->
+           Json.Null
+     in
+     let seen = Hashtbl.create 16 in
+     List.concat_map
+       (fun (e : Registry.entry) ->
+         List.filter_map
+           (fun s ->
+             let j = Spec.to_json s in
+             let key =
+               match j with
+               | Json.Obj fields ->
+                   Json.to_string
+                     (shape (Json.Obj (List.remove_assoc "name" fields)))
+               | _ -> Json.to_string (shape j)
+             in
+             if Hashtbl.mem seen key then None
+             else begin
+               Hashtbl.replace seen key ();
+               Some j
+             end)
+           (e.specs ()))
+       (Registry.all ()))
+
+let decodes_without_raising j =
+  match Spec.of_json j with
+  | Ok _ | Error _ -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "of_json raised %s on %s"
+        (Printexc.to_string e) (Json.to_string j)
+
+let test_single_mutations () =
+  let shapes = Lazy.force registry_shapes in
+  Alcotest.(check bool) "several shapes" true (List.length shapes >= 7);
+  List.iter
+    (fun j ->
+      List.iter
+        (fun m ->
+          match Spec.of_json m with
+          | Ok _ | Error _ -> ()
+          | exception e ->
+              Alcotest.failf "of_json raised %s on %s" (Printexc.to_string e)
+                (Json.to_string m))
+        (mutations j))
+    shapes
+
+(* Up to three mutations stacked on one registry shape. *)
+let prop_stacked_mutations =
+  QCheck.Test.make ~count:500 ~name:"stacked mutations never raise"
+    QCheck.(
+      pair (int_bound 1_000_000)
+        (list_of_size Gen.(int_range 1 3) (int_bound 1_000_000)))
+    (fun (shape, picks) ->
+      let shapes = Lazy.force registry_shapes in
+      let j = List.nth shapes (shape mod List.length shapes) in
+      let mutated =
+        List.fold_left
+          (fun j pick ->
+            match mutations j with
+            | [] -> j
+            | ms -> List.nth ms (pick mod List.length ms))
+          j picks
+      in
+      decodes_without_raising mutated)
+
 let smoke_longlived ~name ~seed =
   {
     Spec.name;
@@ -852,6 +1158,13 @@ let suites =
     ( "exp.spec",
       [
         qtest prop_json_roundtrip;
+        Alcotest.test_case "every config field is in its table" `Quick
+          test_every_field_in_table;
+        Alcotest.test_case "seed and with_seed on every workload" `Quick
+          test_seed_every_workload;
+        Alcotest.test_case "single mutations of registry specs never raise"
+          `Quick test_single_mutations;
+        qtest prop_stacked_mutations;
         Alcotest.test_case "extreme seeds survive JSON" `Quick
           test_extreme_seeds;
         Alcotest.test_case "of_json is strict" `Quick test_of_json_strict;

@@ -103,27 +103,7 @@ let test_record_serialization () =
     (Json.member "event" j = Some (Json.String "drop"));
   Alcotest.(check bool)
     "flow" true
-    (Json.member "flow" j = Some (Json.Int 3));
-  let cols s = List.length (String.split_on_char ',' s) in
-  List.iter
-    (fun ev ->
-      Alcotest.(check int)
-        ("csv column count: " ^ Trace.cls_name (Trace.cls_of_event ev))
-        (cols Trace.csv_header)
-        (cols (Trace.record_to_csv (mk ev))))
-    [
-      Trace.Enqueue { flow = 0; occ_bytes = 1500; occ_pkts = 1 };
-      Trace.Dequeue { flow = 0; occ_bytes = 0; occ_pkts = 0 };
-      Trace.Drop { flow = 1; occ_bytes = 100 };
-      Trace.Mark { flow = 1; occ_bytes = 100; occ_pkts = 2 };
-      Trace.Mark_state_flip { marking = true; occ_bytes = 45000 };
-      Trace.Cwnd_cut { flow = 2; cwnd_before = 10.; cwnd_after = 6.; alpha = 0.4 };
-      Trace.Fast_retransmit { flow = 2; snd_una = 77 };
-      Trace.Rto { flow = 2; snd_una = 77; timeouts = 1 };
-      Trace.Flow_start { flow = 5 };
-      Trace.Flow_done { flow = 5; segments = 1000 };
-      Trace.No_route_drop { flow = 6; dst = 99 };
-    ]
+    (Json.member "flow" j = Some (Json.Int 3))
 
 (* --- Json parse / print --- *)
 
@@ -265,22 +245,37 @@ let snapshot_with_observers ~observe proto config =
   let metrics = Obs.Metrics.create () in
   let result =
     if observe then begin
-      let ring = Trace.create (Trace.Ring (Trace.ring ~capacity:1024)) in
-      let tmp = Filename.temp_file "test_obs" ".csv" in
+      let buf = Trace.ring ~capacity:1024 in
+      let ring = Trace.create (Trace.Ring buf) in
+      let tmp = Filename.temp_file "test_obs" ".jsonl" in
       let oc = open_out tmp in
-      let csv = Trace.create (Trace.Csv oc) in
-      (* Drive both a ring and a CSV sink through one Fn fan-out so a
-         single run exercises every serialization path. *)
+      let jsonl = Trace.create (Trace.Jsonl oc) in
+      (* Drive both a ring and the JSONL file sink through one Fn fan-out
+         so a single run exercises every sink that serializes. *)
       let tr =
         Trace.create
           (Trace.Fn
              (fun r ->
-               Trace.emit csv r;
+               Trace.emit jsonl r;
                Trace.emit ring r))
       in
       let result = Workloads.Longlived.run ~tracer:tr ~metrics proto config in
       close_out oc;
+      (* The file holds every record the ring saw, each one parseable. *)
+      let ic = open_in tmp in
+      let rec count n =
+        match input_line ic with
+        | line ->
+            (match Result.bind (Json.parse line) Trace.record_of_json with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail ("jsonl line: " ^ e));
+            count (n + 1)
+        | exception End_of_file -> n
+      in
+      let lines = count 0 in
+      close_in ic;
       Sys.remove tmp;
+      Alcotest.(check int) "jsonl records" (Trace.ring_total buf) lines;
       result
     end
     else Workloads.Longlived.run ~metrics proto config

@@ -7,58 +7,6 @@ module L = Workloads.Longlived
 module I = Workloads.Incast
 module Cm = Workloads.Completion
 
-(* Every concrete workload conforms to Workloads.Workload.S — the
-   uniformity Exp.Spec relies on to describe scenarios declaratively.
-   Every workload now carries optional faults/buffer arguments (Longlived
-   also tracer/metrics) and Deadline takes the protocol bundle piecewise,
-   so they conform through the same thin adapters Exp.Runner applies. *)
-module _ : Workloads.Workload.S = struct
-  include Workloads.Dynamic
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Convergence
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Longlived
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Incast
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Completion
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Fattree
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Deadline
-
-  let run (proto : Dctcp.Protocol.t) config =
-    run
-      ~marking:(fun () -> proto.Dctcp.Protocol.marking ())
-      ~echo:proto.Dctcp.Protocol.echo
-      (Workloads.Deadline.Plain proto.Dctcp.Protocol.cc)
-      config
-end
-
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf ?(eps = 1e-9) msg = Alcotest.check (Alcotest.float eps) msg
@@ -220,6 +168,56 @@ let test_incast_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Outcomes pinned bit-for-bit (as hex floats): the RNG draw order of a
+   repeat — one start offset per flow — and the fault wiring must not
+   move, with or without a fault plan. *)
+let pin_faults = { Fault.Plan.none with loss_rate = 0.01; jitter_max = 20_000L }
+
+let hex = Printf.sprintf "%h"
+
+let test_incast_pinned () =
+  let config = { I.default_config with I.n_flows = 12; repeats = 3; seed = 11L } in
+  let check label ?faults (mean, p99, timeouts) =
+    let r = I.run ?faults incast_proto config in
+    Alcotest.(check string) (label ^ " mean") mean (hex r.I.mean_completion);
+    Alcotest.(check string) (label ^ " p99") p99 (hex r.I.p99_completion);
+    Alcotest.(check string)
+      (label ^ " timeouts") timeouts
+      (hex r.I.timeouts_per_run)
+  in
+  check "plain" ("0x1.b161d6d42c313p-8", "0x1.b7b1330594533p-8", "0x0p+0");
+  check "faulted" ~faults:pin_faults
+    ("0x1.14e72efe75ecfp-2", "0x1.9954c0a66ab9cp-2", "0x1.5555555555555p+1")
+
+(* The shared per-repeat builder: one flow per (start, CC) pair, in input
+   order, each with its own factory and started at its own instant. *)
+let test_star_repeat () =
+  let sim = Engine.Sim.create ~seed:5L () in
+  let plan =
+    [|
+      (Time.of_ms 2., Dctcp.Dctcp_cc.cc ());
+      (Time.zero, Tcp.Cc.reno);
+      (Time.of_ms 1., Dctcp.Dctcp_cc.cc ());
+    |]
+  in
+  let flows =
+    I.star_repeat sim ~seed:5L ~buffer:Net.Buffer_mgr.Static
+      ~marking:(incast_proto.Dctcp.Protocol.marking ())
+      ~tcp_config:Tcp.Sender.default_config ~rate_bps:1e9
+      ~buffer_bytes:(128 * 1024) ~leaf_buffer_bytes:(512 * 1024) ~segments:10
+      ~time_cap:(Time.span_of_sec 1.) plan
+  in
+  checki "one flow per pair" 3 (Array.length flows);
+  Array.iteri
+    (fun i f ->
+      let start, _ = plan.(i) in
+      checki "flow ids in input order" i (Tcp.Flow.flow_id f);
+      checkb "own CC factory" (i <> 1) (Option.is_some (Tcp.Flow.alpha f));
+      match Tcp.Flow.completion_time f with
+      | Some t -> checkb "completes after its start" true Time.(t > start)
+      | None -> Alcotest.fail "flow did not complete")
+    flows
+
 (* --- Completion --- *)
 
 let small_completion =
@@ -303,6 +301,44 @@ let test_deadline_aware_kind_runs () =
       { small_deadline with Workloads.Deadline.deadline = Time.span_of_sec 1. }
   in
   checkf "d2tcp meets generous deadlines" 1. r.Workloads.Deadline.met_fraction
+
+(* Each flow draws its start, then its deadline, in flow order. *)
+let test_deadline_pinned () =
+  let config =
+    {
+      small_deadline with
+      Workloads.Deadline.n_flows = 12;
+      repeats = 3;
+      deadline = Time.span_of_ms 4.;
+      deadline_spread = Time.span_of_ms 4.;
+      seed = 11L;
+    }
+  in
+  let d2tcp =
+    Workloads.Deadline.Deadline_aware
+      (fun ~total_segments ~deadline ->
+        Dctcp.D2tcp_cc.cc ~total_segments ~deadline ())
+  in
+  let check label ?faults (met, mean, p99) =
+    let r =
+      Workloads.Deadline.run
+        ~marking:(fun () -> incast_proto.Dctcp.Protocol.marking ())
+        ~echo:incast_proto.Dctcp.Protocol.echo ?faults d2tcp config
+    in
+    Alcotest.(check string)
+      (label ^ " met") met
+      (hex r.Workloads.Deadline.met_fraction);
+    Alcotest.(check string)
+      (label ^ " mean") mean
+      (hex r.Workloads.Deadline.mean_completion_s);
+    Alcotest.(check string)
+      (label ^ " p99") p99
+      (hex r.Workloads.Deadline.p99_completion_s)
+  in
+  check "plain"
+    ("0x1.38e38e38e38e4p-1", "0x1.72463f1c2ee0cp-8", "0x1.a6fafa6a66669p-8");
+  check "faulted" ~faults:pin_faults
+    ("0x1p-1", "0x1.ef923f37fefa9p-5", "0x1.567ae100622f9p-2")
 
 let test_deadline_validation () =
   checkb "zero flows raises" true
@@ -477,8 +513,46 @@ let test_fattree_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* --- Workload helpers --- *)
+
+let test_inject_faults () =
+  let wire plan =
+    let sim = Engine.Sim.create ~seed:1L () in
+    let m = Dctcp.Marking_policies.single_threshold ~k_bytes:(32 * 1024) in
+    let m', attach =
+      Workloads.Workload.inject_faults sim ?faults:plan ~seed:1L
+        ~component:"bottleneck" m
+    in
+    let net =
+      Net.Topology.dumbbell sim ~n_senders:1 ~bottleneck_rate_bps:1e9
+        ~rtt:(Time.span_of_us 100.) ~buffer_bytes:(100 * 1500) ~marking:m' ()
+    in
+    attach net.Net.Topology.bottleneck;
+    Engine.Sim.run ~until:(Time.of_ms 10.) sim;
+    (m' == m, Engine.Sim.events_processed sim)
+  in
+  let same, events = wire None in
+  checkb "no plan: marking unchanged" true same;
+  checki "no plan: nothing scheduled" 0 events;
+  let same, events =
+    wire
+      (Some
+         {
+           Fault.Plan.none with
+           flaps = [ { down_at = Time.span_of_ms 1.; up_at = Time.span_of_ms 2. } ];
+           suppression = Fault.Plan.Suppress_all;
+         })
+  in
+  checkb "plan: marking wrapped" false same;
+  checkb "plan: flap scheduled" true (events > 0)
+
 let suites =
   [
+    ( "workloads.workload",
+      [
+        Alcotest.test_case "inject_faults wires a plan, or nothing" `Quick
+          test_inject_faults;
+      ] );
     ( "workloads.longlived",
       [
         Alcotest.test_case "utilization" `Quick test_longlived_utilization;
@@ -509,6 +583,9 @@ let suites =
           test_incast_goodput_of_completion;
         Alcotest.test_case "determinism" `Quick test_incast_determinism;
         Alcotest.test_case "validation" `Quick test_incast_validation;
+        Alcotest.test_case "pinned outcomes" `Quick test_incast_pinned;
+        Alcotest.test_case "star_repeat order and factories" `Quick
+          test_star_repeat;
       ] );
     ( "workloads.completion",
       [
@@ -526,6 +603,7 @@ let suites =
         Alcotest.test_case "deadline-aware sender kind" `Quick
           test_deadline_aware_kind_runs;
         Alcotest.test_case "validation" `Quick test_deadline_validation;
+        Alcotest.test_case "pinned outcomes" `Quick test_deadline_pinned;
       ] );
     ( "workloads.dynamic",
       [
